@@ -5,10 +5,12 @@
 //   - descriptor-table scale (does 100K descriptors slow the hot path?);
 //   - replay-cache churn;
 //   - cookie transport extraction cost per carrier (HTTP text parse vs
-//     TLS binary parse vs IPv6 option vs UDP shim).
+//     TLS binary parse vs IPv6 option vs UDP shim);
+//   - steering cost under the two §4.6 dispatch policies.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "cookies/replay_cache.h"
 #include "cookies/transport.h"
@@ -17,6 +19,8 @@
 #include "dataplane/sharding.h"
 #include "net/http.h"
 #include "net/tls.h"
+#include "quic/alias_table.h"
+#include "quic/workload.h"
 #include "runtime/mpsc_ring.h"
 #include "runtime/spsc_ring.h"
 #include "util/clock.h"
@@ -211,55 +215,66 @@ BENCHMARK(BM_ExtractPerTransport)
     ->Arg(static_cast<int>(Transport::kTcpOption))
     ->Arg(static_cast<int>(Transport::kQuicTransportParam));
 
-/// Scale-out dispatch (§4.6): per-packet cost of the sharded dataplane
-/// under the two load-balancing policies. Descriptor affinity pays an
-/// extra cookie peek on cookie-bearing packets; that is the price of a
-/// sound distributed use-once check.
-void BM_ShardedDispatch(benchmark::State& state) {
+/// Steering cost alone (§4.6): what the one ingest thread pays per
+/// packet to pick a worker, as runtime::Dataplane::ingest does it —
+/// learn_steering (descriptor affinity only) then pick_shard. Affinity
+/// adds the cookie-id peek and the CID alias table; flow hash only
+/// hashes the flow key. The gap is the price of a sound distributed
+/// use-once check. Traffic: 0 = plain UDP flows where every 10th packet
+/// opens a cookie flow, 1 = the encrypted QUIC trace (handshakes,
+/// short headers, CID rotations).
+void BM_Steering(benchmark::State& state) {
   const auto policy =
       static_cast<nnn::dataplane::DispatchPolicy>(state.range(0));
-  const size_t shards = static_cast<size_t>(state.range(1));
+  const bool quic = state.range(1) != 0;
+  constexpr size_t kShards = 8;
   nnn::util::ManualClock clock(1000 * nnn::util::kSecond);
-  nnn::dataplane::ServiceRegistry registry;
-  registry.bind("Boost", nnn::dataplane::PriorityAction{0});
-  nnn::dataplane::ShardedDataplane plane(clock, registry, shards, policy);
-  nnn::cookies::CookieDescriptor descriptor;
-  descriptor.cookie_id = 1;
-  descriptor.key.assign(32, 0x42);
-  descriptor.service_data = "Boost";
-  plane.add_descriptor(descriptor);
-  nnn::cookies::CookieGenerator gen(descriptor, clock, 1);
 
-  uint32_t flow_id = 1;
-  std::vector<nnn::net::Packet> batch;
+  std::vector<nnn::net::Packet> trace;
+  if (quic) {
+    nnn::quic::QuicTraceGenerator::Config config;
+    config.connections = 64;
+    config.packets_per_connection = 120;
+    config.rotate_every = 16;
+    nnn::cookies::CookieVerifier staging(clock);
+    nnn::quic::QuicTraceGenerator gen(config, clock, &staging, 1);
+    trace.resize(gen.total_packets());
+    for (auto& p : trace) gen.fill_next(p);
+  } else {
+    nnn::cookies::CookieDescriptor descriptor;
+    descriptor.cookie_id = 1;
+    descriptor.key.assign(32, 0x42);
+    descriptor.service_data = "Boost";
+    nnn::cookies::CookieGenerator gen(descriptor, clock, 1);
+    for (uint32_t i = 0; i < 4096; ++i) {
+      nnn::net::Packet p = plain_packet(i + 1);
+      p.tuple.proto = nnn::net::L4Proto::kUdp;
+      if (i % 10 == 0) {
+        nnn::cookies::attach(p, gen.generate(),
+                             nnn::cookies::Transport::kUdpHeader);
+      }
+      trace.push_back(std::move(p));
+    }
+  }
+
+  nnn::quic::CidAliasTable aliases;
   size_t next = 0;
   for (auto _ : state) {
-    if (next >= batch.size()) {
-      state.PauseTiming();
-      batch.clear();
-      for (int i = 0; i < 512; ++i) {
-        nnn::net::Packet p = plain_packet(flow_id++);
-        p.tuple.proto = nnn::net::L4Proto::kUdp;
-        if (i % 10 == 0) {  // every 10th packet opens a cookie flow
-          nnn::cookies::attach(p, gen.generate(),
-                               nnn::cookies::Transport::kUdpHeader);
-        }
-        batch.push_back(std::move(p));
-      }
-      next = 0;
-      state.ResumeTiming();
+    const nnn::net::Packet& packet = trace[next];
+    next = next + 1 == trace.size() ? 0 : next + 1;
+    if (policy == nnn::dataplane::DispatchPolicy::kDescriptorAffinity) {
+      nnn::quic::learn_steering(aliases, packet);
     }
-    benchmark::DoNotOptimize(plane.process(batch[next++]));
+    benchmark::DoNotOptimize(
+        nnn::dataplane::pick_shard(packet, policy, kShards, aliases));
   }
 }
-BENCHMARK(BM_ShardedDispatch)
-    ->ArgNames({"policy", "shards"})
+BENCHMARK(BM_Steering)
+    ->ArgNames({"policy", "quic"})
+    ->Args({0, 0})
+    ->Args({1, 0})
     ->Args({0, 1})
-    ->Args({0, 4})
-    ->Args({0, 16})
-    ->Args({1, 1})
-    ->Args({1, 4})
-    ->Args({1, 16});
+    ->Args({1, 1});
 
 /// Hardware pre-filter (§4.6): decision cost per packet class.
 void BM_HwFilterDecision(benchmark::State& state) {
@@ -383,17 +398,19 @@ void BM_Runtime_MpscPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_Runtime_MpscPushPop);
 
-/// Flow-table scale: lookup cost as the table grows.
+/// Flow-table scale: touch-or-create (bind) cost as the table grows.
 void BM_FlowTableTouch(benchmark::State& state) {
   nnn::dataplane::FlowTable table;
   const size_t flows = static_cast<size_t>(state.range(0));
   for (size_t i = 0; i < flows; ++i) {
-    nnn::net::Packet p = plain_packet(static_cast<uint32_t>(i));
-    table.touch(p.tuple, 512, 0);
+    const nnn::net::Packet p = plain_packet(static_cast<uint32_t>(i));
+    benchmark::DoNotOptimize(
+        table.bind(nnn::net::FlowKey::from_tuple(p.tuple), 512, 0));
   }
-  nnn::net::Packet probe = plain_packet(static_cast<uint32_t>(flows / 2));
+  const nnn::net::FlowKey probe = nnn::net::FlowKey::from_tuple(
+      plain_packet(static_cast<uint32_t>(flows / 2)).tuple);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.touch(probe.tuple, 512, 1));
+    benchmark::DoNotOptimize(table.bind(probe, 512, 1));
   }
 }
 BENCHMARK(BM_FlowTableTouch)

@@ -62,8 +62,10 @@
 #include "dataplane/middlebox.h"
 #include "dataplane/qos.h"
 #include "dataplane/service_registry.h"
-#include "dataplane/sharding.h"
 #include "dataplane/zero_rating.h"
+
+// Threaded dataplane: the one steering front-end (§4.6 scale-out).
+#include "runtime/dataplane.h"
 
 // Baseline mechanisms (§3).
 #include "baselines/diffserv.h"

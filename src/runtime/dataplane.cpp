@@ -20,10 +20,7 @@ bool Dataplane::ingest(PacketHandle&& handle) {
     // the ledger keeps one home for every ingest attempt.
     return pool_.submit_handle(0, std::move(handle));
   }
-  if (config_.policy == dataplane::DispatchPolicy::kDescriptorAffinity) {
-    quic::learn_steering(aliases_, *handle);
-  }
-  const size_t worker = route(*handle);
+  const size_t worker = steer(*handle);
   return pool_.submit_handle(worker, std::move(handle));
 }
 
@@ -32,11 +29,15 @@ void Dataplane::ingest_blocking(PacketHandle&& handle) {
     pool_.submit_handle(0, std::move(handle));
     return;
   }
-  if (config_.policy == dataplane::DispatchPolicy::kDescriptorAffinity) {
-    quic::learn_steering(aliases_, *handle);
-  }
-  const size_t worker = route(*handle);
+  const size_t worker = steer(*handle);
   pool_.submit_handle_blocking(worker, std::move(handle));
+}
+
+size_t Dataplane::steer(const net::Packet& packet) {
+  if (config_.policy == dataplane::DispatchPolicy::kDescriptorAffinity) {
+    quic::learn_steering(aliases_, packet);
+  }
+  return route(packet);
 }
 
 void Dataplane::stop() {

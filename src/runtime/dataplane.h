@@ -30,10 +30,15 @@
 // returns false and the wire path never blocks. The pool's ledger
 // (attempts == processed + shed) covers every handle passed in.
 //
+// This is the only class that steers packets and the only steering-side
+// owner of a quic::CidAliasTable. ingest_blocking() then drain() gives
+// exact per-worker verdicts and counts, since each ring keeps ingest
+// order; a clock that must advance between packets belongs to the
+// packet generator, with the plane's clock frozen while workers run.
+//
 // Threading: make_packet()/ingest()/ingest_blocking() are single
-// -producer (one ingest thread — put a Dispatcher or MPSC ring in
-// front to fan in); control-plane calls follow WorkerPool's quiescence
-// contract; snapshots are safe any time.
+// -producer (one ingest thread); control-plane calls follow
+// WorkerPool's quiescence contract; snapshots are safe any time.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +87,7 @@ class Dataplane {
   /// (ingest() does the learning), so repeated calls agree.
   size_t route(const net::Packet& packet) const {
     return dataplane::pick_shard(packet, config_.policy,
-                                 pool_.worker_count(), &aliases_);
+                                 pool_.worker_count(), aliases_);
   }
 
   // ---- lifecycle (see WorkerPool for the contracts) ----
@@ -122,12 +127,12 @@ class Dataplane {
   size_t worker_count() const { return pool_.worker_count(); }
   PacketArena& arena() { return pool_.arena(); }
   const PacketArena& arena() const { return pool_.arena(); }
-  /// Direct pool access for lifecycle control (start/stop/drain) and
-  /// counters; packet entry goes through ingest(), not the pool.
-  WorkerPool& pool() { return pool_; }
-  const WorkerPool& pool() const { return pool_; }
 
  private:
+  /// Learn the packet's CID steering state (descriptor affinity only),
+  /// then pick its worker. Producer thread only.
+  size_t steer(const net::Packet& packet);
+
   Config config_;
   WorkerPool pool_;
   /// Producer-side alloc stash (single producer thread).

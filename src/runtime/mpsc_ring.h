@@ -1,9 +1,8 @@
 // Lock-free bounded multi-producer/single-consumer ring.
 //
-// Companion to spsc_ring.h for the paths where many threads write and
+// Companion to spsc_ring.h for the path where many threads write and
 // one reads: worker threads publishing verdict records to whoever
-// drains them, and application threads offering packets to the
-// dispatcher's ingress queue.
+// drains them.
 //
 // This is the classic Vyukov bounded queue: every slot carries a
 // sequence number that encodes whose turn it is. A producer claims a

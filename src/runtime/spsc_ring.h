@@ -50,7 +50,7 @@ class SpscRing {
   SpscRing& operator=(const SpscRing&) = delete;
 
   /// Producer side. Returns false when the ring is full (the caller
-  /// decides what backpressure means — the dispatcher counts the
+  /// decides what backpressure means — the worker pool sheds the
   /// packet and forwards it best-effort, it never blocks the wire).
   bool try_push(T&& value) {
     const size_t tail = tail_.load(std::memory_order_relaxed);

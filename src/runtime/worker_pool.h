@@ -2,9 +2,8 @@
 // real this time) — zero-copy edition.
 //
 // "We can use multiple cores instead of one, and similarly add more
-// than one middle-boxes to scale-out the deployment." Where
-// dataplane::ShardedDataplane *models* that paragraph on one thread,
-// this pool *executes* it: N worker threads, each owning a complete
+// than one middle-boxes to scale-out the deployment." This pool
+// executes that paragraph: N worker threads, each owning a complete
 // shard (its own CookieVerifier — descriptor table + replay caches —
 // and its own Middlebox with flow table), fed through one SPSC ring
 // per worker in the run-to-completion style of DPDK pipelines.
@@ -23,7 +22,7 @@
 // Threading contract (v2 — the Dataplane facade is the intended front
 // end; see runtime/dataplane.h):
 //   - submit_handle(worker, handle) — ONE producer thread only (the
-//     facade's ingest thread or the dispatcher);
+//     facade's ingest thread);
 //   - arena().try_alloc() / PacketHandle release — any thread (the
 //     freelist is lock-free MPMC); but building a packet in a slot and
 //     submitting it must happen on the producer thread;

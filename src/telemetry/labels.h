@@ -38,7 +38,6 @@ std::string_view to_string(VerifyStatus s);
 
 namespace nnn::dataplane {
 enum class DispatchPolicy : uint8_t;
-inline constexpr size_t kDispatchPolicyCount = 2;
 std::string_view to_string(DispatchPolicy p);
 
 enum class HwDecision : uint8_t;

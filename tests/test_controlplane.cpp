@@ -234,8 +234,9 @@ template <typename T>
 const T* expect_response(const std::optional<util::Bytes>& bytes) {
   if (!bytes.has_value()) return nullptr;
   static std::optional<Message> decoded;
-  decoded = decode(util::BytesView(*bytes));
-  if (!decoded.has_value()) return nullptr;
+  auto result = decode_message(util::BytesView(*bytes));
+  if (!result) return nullptr;
+  decoded = std::move(*result);
   return std::get_if<T>(&*decoded);
 }
 

@@ -1,6 +1,7 @@
-// Extension features from §4.3 / §4.6 / §6: scale-out sharding and
-// the double-spend problem, delivery guarantees (ack cookies), and
-// regulator compliance monitoring.
+// Extension features from §4.3 / §4.6 / §6: delivery guarantees (ack
+// cookies), the hardware pre-filter, and regulator compliance
+// monitoring. Scale-out sharding and the double-spend problem are
+// tested through runtime::Dataplane in test_runtime.cpp.
 #include <gtest/gtest.h>
 
 #include "cookies/ack_monitor.h"
@@ -8,7 +9,6 @@
 #include "cookies/transport.h"
 #include "dataplane/hw_filter.h"
 #include "dataplane/middlebox.h"
-#include "dataplane/sharding.h"
 #include "net/http.h"
 #include "server/compliance.h"
 #include "util/clock.h"
@@ -36,104 +36,6 @@ net::Packet cookie_udp_packet(uint16_t src_port,
   p.tuple.proto = net::L4Proto::kUdp;
   cookies::attach(p, cookie, cookies::Transport::kUdpHeader);
   return p;
-}
-
-// --- sharding (§4.6) ---
-
-class ShardingTest : public ::testing::Test {
- protected:
-  ShardingTest() : clock_(1000 * kSecond) {
-    registry_.bind("Boost", dataplane::PriorityAction{0});
-  }
-
-  util::ManualClock clock_;
-  dataplane::ServiceRegistry registry_;
-};
-
-TEST_F(ShardingTest, FlowHashAllowsDoubleSpend) {
-  dataplane::ShardedDataplane plane(clock_, registry_, 4,
-                                    dataplane::DispatchPolicy::kFlowHash);
-  const auto descriptor = make_descriptor(1);
-  plane.add_descriptor(descriptor);
-  cookies::CookieGenerator generator(descriptor, clock_, 1);
-  const cookies::Cookie cookie = generator.generate();
-
-  // An attacker copies one cookie onto many flows; flow hashing
-  // spreads them over shards whose replay caches are independent.
-  uint64_t accepted = 0;
-  for (uint16_t port = 40000; port < 40032; ++port) {
-    net::Packet p = cookie_udp_packet(port, cookie);
-    if (plane.process(p).action) ++accepted;
-  }
-  // The same cookie was honored more than once: double-spent.
-  EXPECT_GT(accepted, 1u);
-  EXPECT_LE(accepted, plane.shard_count());
-}
-
-TEST_F(ShardingTest, DescriptorAffinityPreventsDoubleSpend) {
-  dataplane::ShardedDataplane plane(
-      clock_, registry_, 4,
-      dataplane::DispatchPolicy::kDescriptorAffinity);
-  const auto descriptor = make_descriptor(2);
-  plane.add_descriptor(descriptor);
-  cookies::CookieGenerator generator(descriptor, clock_, 2);
-  const cookies::Cookie cookie = generator.generate();
-
-  uint64_t accepted = 0;
-  for (uint16_t port = 41000; port < 41032; ++port) {
-    net::Packet p = cookie_udp_packet(port, cookie);
-    if (plane.process(p).action) ++accepted;
-  }
-  EXPECT_EQ(accepted, 1u);  // use-once holds across the whole plane
-  EXPECT_EQ(plane.total_replays_detected(), 31u);
-}
-
-TEST_F(ShardingTest, AffinityStillBalancesCookielessTraffic) {
-  dataplane::ShardedDataplane plane(
-      clock_, registry_, 4,
-      dataplane::DispatchPolicy::kDescriptorAffinity);
-  for (uint16_t port = 0; port < 256; ++port) {
-    net::Packet p;
-    p.tuple.src_port = port;
-    p.tuple.dst_port = 80;
-    p.wire_size = 500;
-    plane.process(p);
-  }
-  // Every shard saw a meaningful share (flow hashing for plain
-  // packets).
-  for (size_t i = 0; i < plane.shard_count(); ++i) {
-    EXPECT_GT(plane.stats(i).packets, 256u / 10) << "shard " << i;
-  }
-}
-
-TEST_F(ShardingTest, DistinctDescriptorsSpreadOverShards) {
-  dataplane::ShardedDataplane plane(
-      clock_, registry_, 4,
-      dataplane::DispatchPolicy::kDescriptorAffinity);
-  std::set<size_t> used;
-  for (cookies::CookieId id = 1; id <= 16; ++id) {
-    const auto descriptor = make_descriptor(id);
-    plane.add_descriptor(descriptor);
-    cookies::CookieGenerator generator(descriptor, clock_, id);
-    net::Packet p = cookie_udp_packet(
-        static_cast<uint16_t>(42000 + id), generator.generate());
-    used.insert(plane.shard_for(p));
-    EXPECT_TRUE(plane.process(p).action.has_value());
-  }
-  EXPECT_EQ(used.size(), 4u);  // ids 1..16 mod 4 cover all shards
-}
-
-TEST_F(ShardingTest, RevocationReachesAllShards) {
-  dataplane::ShardedDataplane plane(clock_, registry_, 3,
-                                    dataplane::DispatchPolicy::kFlowHash);
-  const auto descriptor = make_descriptor(5);
-  plane.add_descriptor(descriptor);
-  plane.revoke(descriptor.cookie_id);
-  cookies::CookieGenerator generator(descriptor, clock_, 5);
-  for (uint16_t port = 43000; port < 43008; ++port) {
-    net::Packet p = cookie_udp_packet(port, generator.generate());
-    EXPECT_FALSE(plane.process(p).action.has_value());
-  }
 }
 
 // --- delivery guarantees (§4.3) ---

@@ -20,7 +20,6 @@
 #include "dataplane/flow_table.h"
 #include "dataplane/middlebox.h"
 #include "dataplane/service_registry.h"
-#include "dataplane/sharding.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "net/flow_key.h"
@@ -158,47 +157,48 @@ TEST(CidAliasTable, CapacityFifoSkipsReboundSlots) {
 
 // --- FlowTable -----------------------------------------------------
 
-// Differential: the legacy 5-tuple adapters and the FlowKey/Expected
-// primaries must agree move for move on the same flow sequence.
-TEST(FlowTable, LegacyAdaptersMatchExpectedPrimaries) {
-  dataplane::FlowTable legacy;
-  dataplane::FlowTable primary;
+// The FlowKey/Expected API on a five-tuple flow: bind walks the sniff
+// window, map_flow binds both directions, lookup finds them, and an
+// unknown key fails with a typed kFlow error.
+TEST(FlowTable, FlowKeyBindMapAndLookup) {
+  dataplane::FlowTable table;
   const net::FiveTuple t = quic_tuple();
   const net::FlowKey key = net::FlowKey::from_tuple(t);
 
   for (uint32_t i = 0; i < 6; ++i) {
-    const util::Timestamp now = i * kMillisecond;
-    const dataplane::FlowEntry& via_legacy = legacy.touch(t, 100, now);
-    const auto bound = primary.bind(key, 100, now);
+    const auto bound = table.bind(key, 100, i * kMillisecond);
     ASSERT_TRUE(bound.has_value());
-    const dataplane::FlowEntry& via_primary = *bound.value().entry;
+    const dataplane::FlowEntry& entry = *bound.value().entry;
     EXPECT_EQ(bound.value().created, i == 0);
-    EXPECT_EQ(via_legacy.packets_seen, via_primary.packets_seen);
-    EXPECT_EQ(via_legacy.state, via_primary.state);
-    EXPECT_EQ(via_legacy.bytes, via_primary.bytes);
+    EXPECT_EQ(entry.packets_seen, i + 1);
+    EXPECT_EQ(entry.bytes, uint64_t{100} * (i + 1));
+    EXPECT_EQ(entry.state, i < dataplane::FlowTable::kDefaultSniffWindow
+                               ? dataplane::FlowState::kSniffing
+                               : dataplane::FlowState::kBestEffort)
+        << "packet " << i;
   }
+  EXPECT_EQ(table.size(), 1u);
 
-  legacy.map_flow(t, "Boost", 6 * kMillisecond, /*include_reverse=*/true);
-  ASSERT_TRUE(primary
+  ASSERT_TRUE(table
                   .map_flow(key, "Boost", 6 * kMillisecond,
                             /*include_reverse=*/true)
                   .has_value());
-
+  EXPECT_EQ(table.size(), 2u);  // the reverse direction joined
   for (const net::FiveTuple& probe : {t, t.reversed()}) {
-    const dataplane::FlowEntry* found = legacy.find(probe);
-    const auto looked =
-        primary.lookup(net::FlowKey::from_tuple(probe));
-    ASSERT_NE(found, nullptr);
+    const auto looked = table.lookup(net::FlowKey::from_tuple(probe));
     ASSERT_TRUE(looked.has_value());
-    EXPECT_EQ(found->state, looked.value()->state);
-    EXPECT_EQ(found->service_data, looked.value()->service_data);
+    EXPECT_EQ(looked.value()->state, dataplane::FlowState::kMapped);
+    EXPECT_EQ(looked.value()->service_data, "Boost");
   }
 
-  const auto missing =
-      primary.lookup(net::FlowKey::from_cid(0x5555));
-  ASSERT_FALSE(missing.has_value());
-  EXPECT_EQ(missing.error().domain, ErrorDomain::kFlow);
-  EXPECT_EQ(legacy.find(net::FiveTuple{}), nullptr);
+  for (const net::FlowKey& missing :
+       {net::FlowKey::from_cid(0x5555),
+        net::FlowKey::from_tuple(net::FiveTuple{})}) {
+    const auto looked = table.lookup(missing);
+    ASSERT_FALSE(looked.has_value());
+    EXPECT_EQ(looked.error().domain, ErrorDomain::kFlow);
+    EXPECT_EQ(looked.error().code, ErrorCode::kUnknownId);
+  }
 }
 
 TEST(FlowTable, BindOverloadsAtMaxFlowsAfterForcedSweep) {
@@ -415,17 +415,21 @@ TEST(QuicDpi, CleartextControlStillClassifies) {
 TEST(QuicSharding, AffinitySurvivesMigrationFlowHashDoesNot) {
   constexpr size_t kShards = 8;
   auto run = [&](dataplane::DispatchPolicy policy) {
-    util::ManualClock clock;
+    util::ManualClock plane_clock;  // frozen while workers run
     dataplane::ServiceRegistry registry;
     registry.bind("Boost", dataplane::PriorityAction{0});
-    dataplane::ShardedDataplane plane(clock, registry, kShards, policy);
+    runtime::Dataplane plane(
+        plane_clock, registry,
+        {.pool = {.workers = kShards, .verdict_capacity = 1 << 12},
+         .policy = policy});
 
     quic::QuicTraceGenerator::Config config;
     config.connections = 32;
     config.packets_per_connection = 60;
     config.rotate_every = 10;
-    cookies::CookieVerifier staging(clock);
-    quic::QuicTraceGenerator gen(config, clock, &staging, 11);
+    util::ManualClock trace_clock;  // advances on the generator side
+    cookies::CookieVerifier staging(trace_clock);
+    quic::QuicTraceGenerator gen(config, trace_clock, &staging, 11);
     for (const auto& d : gen.descriptors()) plane.add_descriptor(d);
 
     fault::FaultPlan plan;
@@ -435,17 +439,23 @@ TEST(QuicSharding, AffinitySurvivesMigrationFlowHashDoesNot) {
     injector.arm(plan, 11);
     gen.set_fault_injector(&injector);
 
-    std::vector<std::set<size_t>> shards_touched(config.connections);
+    plane.start();
     for (size_t i = 0; i < gen.total_packets(); ++i) {
-      net::Packet packet;
-      const uint32_t conn = gen.fill_next(packet);
-      plane.process(packet);
-      // After process() the balancer has learned this packet's CIDs;
-      // shard_for is then exactly where process() sent it.
-      shards_touched[conn].insert(plane.shard_for(packet));
-      clock.advance(50);
+      runtime::PacketHandle h = plane.make_packet();
+      while (!h) h = plane.make_packet();
+      gen.fill_next(*h);  // stamps the connection index into seq
+      trace_clock.advance(50);
+      plane.ingest_blocking(std::move(h));
     }
+    plane.drain();
+    plane.stop();
+    std::vector<runtime::VerdictRecord> verdicts;
+    plane.drain_verdicts(verdicts);
+    EXPECT_EQ(verdicts.size(), gen.total_packets());
 
+    // The verdict's worker is where the packet was actually steered.
+    std::vector<std::set<size_t>> shards_touched(config.connections);
+    for (const auto& v : verdicts) shards_touched[v.seq].insert(v.worker);
     size_t migrated = 0, stable = 0;
     for (size_t c = 0; c < config.connections; ++c) {
       if (gen.connection(c).migrations > 0) ++migrated;

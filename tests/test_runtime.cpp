@@ -5,18 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <memory>
+#include <set>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "cookies/generator.h"
 #include "cookies/transport.h"
+#include "cookies/verifier.h"
+#include "dataplane/middlebox.h"
 #include "dataplane/service_registry.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "runtime/dataplane.h"
-#include "runtime/dispatcher.h"
 #include "runtime/mpsc_ring.h"
 #include "runtime/spsc_ring.h"
 #include "runtime/worker_pool.h"
@@ -154,7 +158,7 @@ TEST(MpscRing, ConcurrentProducersDeliverEverything) {
   for (auto& t : producers) t.join();
 }
 
-// --- Pool fixtures -------------------------------------------------
+// --- Fixtures ------------------------------------------------------
 
 cookies::CookieDescriptor make_descriptor(cookies::CookieId id) {
   cookies::CookieDescriptor d;
@@ -187,33 +191,59 @@ struct PoolFixture {
   }
 };
 
+struct PlaneFixture {
+  util::SystemClock clock;  // safe for concurrent reads
+  dataplane::ServiceRegistry registry;
+  Dataplane plane;
+
+  PlaneFixture(DispatchPolicy policy, WorkerPool::Config pool)
+      : plane(clock, registry, {.pool = pool, .policy = policy}) {
+    registry.bind("Boost", dataplane::PriorityAction{0});
+  }
+};
+
+/// Build `packet` into an arena slot and ingest it closed-loop.
+void ingest_blocking(Dataplane& plane, net::Packet packet) {
+  PacketHandle h = plane.make_packet();
+  while (!h) {  // transient exhaustion: workers are draining slots
+    std::this_thread::yield();
+    h = plane.make_packet();
+  }
+  *h = std::move(packet);
+  plane.ingest_blocking(std::move(h));
+}
+
+/// Fail-open variant: false when the packet was shed.
+bool ingest(Dataplane& plane, net::Packet packet) {
+  PacketHandle h = plane.make_packet();
+  if (h) *h = std::move(packet);
+  return plane.ingest(std::move(h));
+}
+
 // --- Per-flow ordering ---------------------------------------------
 
 /// All packets of one flow route to one worker (flow hash) and cross
 /// one SPSC ring, so the runtime preserves per-flow order even with
 /// many workers and interleaved flows.
 TEST(Runtime, PerFlowOrderingPreserved) {
-  WorkerPool::Config config;
-  config.workers = 4;
-  config.ring_capacity = 256;
-  config.verdict_capacity = 1 << 15;
-  PoolFixture fx(config);
-  Dispatcher dispatcher(fx.pool,
-                        {.policy = DispatchPolicy::kFlowHash});
-  fx.pool.start();
+  PlaneFixture fx(DispatchPolicy::kFlowHash,
+                  {.workers = 4,
+                   .ring_capacity = 256,
+                   .verdict_capacity = 1 << 15});
+  fx.plane.start();
 
   constexpr uint32_t kFlows = 16;
   constexpr uint32_t kPacketsPerFlow = 500;
   for (uint32_t seq = 0; seq < kPacketsPerFlow; ++seq) {
     for (uint32_t flow = 0; flow < kFlows; ++flow) {
-      dispatcher.dispatch_blocking(flow_packet(flow, seq));
+      ingest_blocking(fx.plane, flow_packet(flow, seq));
     }
   }
-  dispatcher.drain();
-  fx.pool.stop();
+  fx.plane.drain();
+  fx.plane.stop();
 
   std::vector<VerdictRecord> verdicts;
-  fx.pool.drain_verdicts(verdicts);
+  fx.plane.drain_verdicts(verdicts);
   ASSERT_EQ(verdicts.size(), size_t{kFlows} * kPacketsPerFlow);
 
   std::map<net::FiveTuple, uint32_t> next_seq;
@@ -232,54 +262,39 @@ TEST(Runtime, PerFlowOrderingPreserved) {
 
 // --- Concurrent double-spend (§4.6) --------------------------------
 
-/// Mint ONE cookie, replay it from concurrent producers with tuples
-/// spread across flows. Under descriptor affinity every copy routes to
-/// the same worker whose replay cache accepts exactly one.
+/// Mint ONE cookie and replay it on flows spread across tuples, while
+/// four workers run concurrently. Under descriptor affinity every copy
+/// routes to the same worker, whose replay cache accepts exactly one.
 TEST(Runtime, ConcurrentDoubleSpendRejectedUnderAffinity) {
-  WorkerPool::Config config;
-  config.workers = 4;
-  PoolFixture fx(config);
-  fx.pool.add_descriptor(make_descriptor(1));
-  Dispatcher dispatcher(
-      fx.pool, {.policy = DispatchPolicy::kDescriptorAffinity});
+  PlaneFixture fx(DispatchPolicy::kDescriptorAffinity, {.workers = 4});
+  fx.plane.add_descriptor(make_descriptor(1));
 
-  util::ManualClock mint_clock(fx.clock.now());  // same epoch as pool
+  util::ManualClock mint_clock(fx.clock.now());  // same epoch as plane
   cookies::CookieGenerator gen(make_descriptor(1), mint_clock, 7);
   const cookies::Cookie cookie = gen.generate();
 
-  fx.pool.start();
-  dispatcher.start();
-  constexpr int kProducers = 4;
-  constexpr int kCopiesPerProducer = 8;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kCopiesPerProducer; ++i) {
-        // Distinct flows so kFlowHash would spread them; the SAME
-        // cookie (same uuid) on all of them.
-        net::Packet packet =
-            flow_packet(static_cast<uint32_t>(p * 100 + i), 0);
-        cookies::attach(packet, cookie, cookies::Transport::kUdpHeader);
-        while (!dispatcher.offer(std::move(packet))) {
-          std::this_thread::yield();
-        }
-      }
-    });
+  fx.plane.start();
+  constexpr uint32_t kCopies = 32;
+  for (uint32_t i = 0; i < kCopies; ++i) {
+    // Distinct flows so kFlowHash would spread them; the SAME cookie
+    // (same uuid) on all of them.
+    net::Packet packet = flow_packet(i, 0);
+    cookies::attach(packet, cookie, cookies::Transport::kUdpHeader);
+    ingest_blocking(fx.plane, std::move(packet));
   }
-  for (auto& t : producers) t.join();
-  dispatcher.drain();
-  dispatcher.stop();
-  fx.pool.stop();
+  fx.plane.drain();
+  fx.plane.stop();
 
-  constexpr uint64_t kTotal = kProducers * kCopiesPerProducer;
-  EXPECT_EQ(dispatcher.stats().routed, kTotal);
+  const auto totals = fx.plane.snapshot().totals();
+  EXPECT_EQ(totals.processed, kCopies);
+  EXPECT_EQ(totals.shed, 0u);
   // The paper's fix: exactly one acceptance, everything else replayed.
-  EXPECT_EQ(fx.pool.total_verified(), 1u);
-  EXPECT_EQ(fx.pool.total_replays_detected(), kTotal - 1);
+  EXPECT_EQ(fx.plane.total_verified(), 1u);
+  EXPECT_EQ(fx.plane.total_replays_detected(), kCopies - 1);
 
   // All copies landed on the worker the cookie id pins to.
   uint64_t workers_touched = 0;
-  for (const auto& w : fx.pool.snapshot().workers) {
+  for (const auto& w : fx.plane.snapshot().workers) {
     if (w.cookie_packets > 0) ++workers_touched;
   }
   EXPECT_EQ(workers_touched, 1u);
@@ -289,11 +304,9 @@ TEST(Runtime, ConcurrentDoubleSpendRejectedUnderAffinity) {
 /// so the copied cookie is accepted once per worker it reaches — the
 /// documented weakness that motivates descriptor affinity.
 TEST(Runtime, FlowHashAcceptsOncePerWorker) {
-  WorkerPool::Config config;
-  config.workers = 4;
-  PoolFixture fx(config);
-  fx.pool.add_descriptor(make_descriptor(1));
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash});
+  constexpr size_t kWorkers = 4;
+  PlaneFixture fx(DispatchPolicy::kFlowHash, {.workers = kWorkers});
+  fx.plane.add_descriptor(make_descriptor(1));
 
   util::ManualClock mint_clock(fx.clock.now());
   cookies::CookieGenerator gen(make_descriptor(1), mint_clock, 7);
@@ -301,114 +314,221 @@ TEST(Runtime, FlowHashAcceptsOncePerWorker) {
 
   // Pick one flow tuple per worker (route() is deterministic).
   std::vector<net::Packet> copies;
-  std::vector<bool> covered(config.workers, false);
-  for (uint32_t flow = 0; copies.size() < config.workers; ++flow) {
+  std::vector<bool> covered(kWorkers, false);
+  for (uint32_t flow = 0; copies.size() < kWorkers; ++flow) {
     ASSERT_LT(flow, 10'000u) << "flow hash never covered all workers";
     net::Packet packet = flow_packet(flow, 0);
     cookies::attach(packet, cookie, cookies::Transport::kUdpHeader);
-    const size_t worker = dispatcher.route(packet);
+    const size_t worker = fx.plane.route(packet);
     if (!covered[worker]) {
       covered[worker] = true;
       copies.push_back(std::move(packet));
     }
   }
 
-  fx.pool.start();
-  dispatcher.start();
-  std::vector<std::thread> producers;
-  for (auto& copy : copies) {
-    producers.emplace_back([&dispatcher, packet = std::move(copy)]() mutable {
-      while (!dispatcher.offer(std::move(packet))) {
-        std::this_thread::yield();
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  dispatcher.drain();
-  dispatcher.stop();
-  fx.pool.stop();
+  fx.plane.start();
+  for (auto& copy : copies) ingest_blocking(fx.plane, std::move(copy));
+  fx.plane.drain();
+  fx.plane.stop();
 
   // One acceptance PER SHARD: the double-spend the paper warns about.
-  EXPECT_EQ(fx.pool.total_verified(), uint64_t{config.workers});
-  EXPECT_EQ(fx.pool.total_replays_detected(), 0u);
+  EXPECT_EQ(fx.plane.total_verified(), uint64_t{kWorkers});
+  EXPECT_EQ(fx.plane.total_replays_detected(), 0u);
+}
+
+// --- Sharding policy (§4.6): double-spend and balance --------------
+
+net::Packet cookie_udp_packet(uint16_t src_port,
+                              const cookies::Cookie& cookie) {
+  net::Packet p;
+  p.tuple.src_ip = net::IpAddress::v4(192, 168, 1, 10);
+  p.tuple.dst_ip = net::IpAddress::v4(151, 101, 0, 10);
+  p.tuple.src_port = src_port;
+  p.tuple.dst_port = 443;
+  p.tuple.proto = net::L4Proto::kUdp;
+  cookies::attach(p, cookie, cookies::Transport::kUdpHeader);
+  return p;
+}
+
+/// The §4.6 policy checks, run through the threaded plane: packets go
+/// in with ingest_blocking(), drain() makes the per-worker verdicts and
+/// counts exact, and the verdict ring reports what each packet got.
+class ShardingTest : public ::testing::Test {
+ protected:
+  ShardingTest() : clock_(1000 * util::kSecond) {
+    registry_.bind("Boost", dataplane::PriorityAction{0});
+  }
+
+  std::unique_ptr<Dataplane> make_plane(size_t workers,
+                                        DispatchPolicy policy) {
+    return std::make_unique<Dataplane>(
+        clock_, registry_,
+        Dataplane::Config{.pool = {.workers = workers,
+                                   .verdict_capacity = 1024},
+                          .policy = policy});
+  }
+
+  /// Ingest `packets` in order, drain, stop; the verdicts in order.
+  static std::vector<VerdictRecord> run(Dataplane& plane,
+                                        std::vector<net::Packet> packets) {
+    plane.start();
+    for (auto& p : packets) ingest_blocking(plane, std::move(p));
+    plane.drain();
+    plane.stop();
+    std::vector<VerdictRecord> verdicts;
+    plane.drain_verdicts(verdicts);
+    EXPECT_EQ(verdicts.size(), packets.size());
+    std::sort(verdicts.begin(), verdicts.end(),
+              [](const VerdictRecord& a, const VerdictRecord& b) {
+                return a.seq < b.seq;
+              });
+    return verdicts;
+  }
+
+  static uint64_t accepted(const std::vector<VerdictRecord>& verdicts) {
+    return static_cast<uint64_t>(
+        std::count_if(verdicts.begin(), verdicts.end(),
+                      [](const VerdictRecord& v) { return v.has_action; }));
+  }
+
+  util::ManualClock clock_;  // never advanced while workers run
+  dataplane::ServiceRegistry registry_;
+};
+
+TEST_F(ShardingTest, FlowHashAllowsDoubleSpend) {
+  auto plane = make_plane(4, DispatchPolicy::kFlowHash);
+  const auto descriptor = make_descriptor(1);
+  plane->add_descriptor(descriptor);
+  cookies::CookieGenerator generator(descriptor, clock_, 1);
+  const cookies::Cookie cookie = generator.generate();
+
+  // An attacker copies one cookie onto many flows; flow hashing
+  // spreads them over shards whose replay caches are independent.
+  std::vector<net::Packet> packets;
+  for (uint16_t port = 40000; port < 40032; ++port) {
+    packets.push_back(cookie_udp_packet(port, cookie));
+  }
+  const uint64_t n = accepted(run(*plane, std::move(packets)));
+  // The same cookie was honored more than once: double-spent.
+  EXPECT_GT(n, 1u);
+  EXPECT_LE(n, plane->worker_count());
+}
+
+TEST_F(ShardingTest, DescriptorAffinityPreventsDoubleSpend) {
+  auto plane = make_plane(4, DispatchPolicy::kDescriptorAffinity);
+  const auto descriptor = make_descriptor(2);
+  plane->add_descriptor(descriptor);
+  cookies::CookieGenerator generator(descriptor, clock_, 2);
+  const cookies::Cookie cookie = generator.generate();
+
+  std::vector<net::Packet> packets;
+  for (uint16_t port = 41000; port < 41032; ++port) {
+    packets.push_back(cookie_udp_packet(port, cookie));
+  }
+  // Use-once holds across the whole plane: one accept, 31 replays.
+  EXPECT_EQ(accepted(run(*plane, std::move(packets))), 1u);
+  EXPECT_EQ(plane->total_replays_detected(), 31u);
+}
+
+TEST_F(ShardingTest, AffinityStillBalancesCookielessTraffic) {
+  auto plane = make_plane(4, DispatchPolicy::kDescriptorAffinity);
+  std::vector<net::Packet> packets;
+  for (uint16_t port = 0; port < 256; ++port) {
+    net::Packet p;
+    p.tuple.src_port = port;
+    p.tuple.dst_port = 80;
+    p.wire_size = 500;
+    packets.push_back(std::move(p));
+  }
+  run(*plane, std::move(packets));
+  // Every worker saw a meaningful share (flow hashing for plain
+  // packets).
+  const auto snap = plane->snapshot();
+  for (size_t i = 0; i < plane->worker_count(); ++i) {
+    EXPECT_GT(snap.workers[i].packets, 256u / 10) << "worker " << i;
+    EXPECT_EQ(snap.workers[i].cookie_packets, 0u) << "worker " << i;
+  }
+}
+
+TEST_F(ShardingTest, DistinctDescriptorsSpreadOverShards) {
+  auto plane = make_plane(4, DispatchPolicy::kDescriptorAffinity);
+  std::vector<net::Packet> packets;
+  std::set<size_t> used;
+  for (cookies::CookieId id = 1; id <= 16; ++id) {
+    const auto descriptor = make_descriptor(id);
+    plane->add_descriptor(descriptor);
+    cookies::CookieGenerator generator(descriptor, clock_, id);
+    net::Packet p = cookie_udp_packet(static_cast<uint16_t>(42000 + id),
+                                      generator.generate());
+    p.seq = static_cast<uint32_t>(id);
+    used.insert(plane->route(p));
+    packets.push_back(std::move(p));
+  }
+  EXPECT_EQ(used.size(), 4u);  // ids 1..16 cover all workers
+  const auto verdicts = run(*plane, std::move(packets));
+  for (const auto& v : verdicts) {
+    EXPECT_TRUE(v.has_action) << "descriptor " << v.seq;
+  }
+  EXPECT_EQ(plane->total_verified(), 16u);
+}
+
+TEST_F(ShardingTest, RevocationReachesAllShards) {
+  auto plane = make_plane(3, DispatchPolicy::kFlowHash);
+  const auto descriptor = make_descriptor(5);
+  plane->add_descriptor(descriptor);
+  plane->revoke(descriptor.cookie_id);
+  cookies::CookieGenerator generator(descriptor, clock_, 5);
+  std::vector<net::Packet> packets;
+  std::set<size_t> used;
+  for (uint16_t port = 43000; port < 43008; ++port) {
+    packets.push_back(cookie_udp_packet(port, generator.generate()));
+    used.insert(plane->route(packets.back()));
+  }
+  EXPECT_GT(used.size(), 1u) << "revocation must be checked on >1 worker";
+  EXPECT_EQ(accepted(run(*plane, std::move(packets))), 0u);
 }
 
 // --- Backpressure accounting ---------------------------------------
 
-/// Fill a deliberately tiny ring with the pool not yet started: the
-/// overflow is counted as fail-open bypass, nothing is lost, and the
-/// accounting identity offered == routed + bypassed holds.
+/// Fill a deliberately tiny ring with the plane not yet started: the
+/// overflow is shed (fail-open: forwarded best-effort), nothing is
+/// lost, and the ledger attempts == processed + shed holds.
 TEST(Runtime, BackpressureCountsAndForwardsBestEffort) {
-  WorkerPool::Config config;
-  config.workers = 1;
-  config.ring_capacity = 16;
-  PoolFixture fx(config);
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash});
+  constexpr uint64_t kRing = 16;
+  PlaneFixture fx(DispatchPolicy::kFlowHash,
+                  {.workers = 1, .ring_capacity = kRing});
 
   constexpr uint64_t kOffered = 100;
+  uint64_t queued = 0;
   for (uint32_t i = 0; i < kOffered; ++i) {
-    dispatcher.dispatch(flow_packet(i, i));
+    if (ingest(fx.plane, flow_packet(i, i))) ++queued;
   }
-  const auto before = dispatcher.stats();
-  EXPECT_EQ(before.offered, kOffered);
-  EXPECT_EQ(before.routed, fx.pool.ring_capacity(0));
-  EXPECT_EQ(before.ring_full_bypass, kOffered - before.routed);
-  EXPECT_EQ(before.forwarded(), kOffered);  // never dropped
+  EXPECT_EQ(queued, kRing);
+  const auto before = fx.plane.snapshot().totals();
+  EXPECT_EQ(before.shed, kOffered - kRing);
+  EXPECT_EQ(before.processed, 0u);
 
   // Late start still processes exactly what was queued.
-  fx.pool.start();
-  dispatcher.drain();
-  fx.pool.stop();
-  EXPECT_EQ(fx.pool.snapshot().totals().packets, before.routed);
-}
-
-/// offer() on a full ingress ring is also fail-open, not a wait.
-TEST(Runtime, IngressOverflowIsCountedBypass) {
-  WorkerPool::Config config;
-  config.workers = 1;
-  PoolFixture fx(config);
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash,
-                                  .ingress_capacity = 8});
-  // Pump not started: ingress fills at its capacity.
-  uint64_t accepted = 0, bypassed = 0;
-  for (uint32_t i = 0; i < 20; ++i) {
-    if (dispatcher.offer(flow_packet(i, i))) {
-      ++accepted;
-    } else {
-      ++bypassed;
-    }
-  }
-  EXPECT_EQ(accepted, 8u);
-  EXPECT_EQ(bypassed, 12u);
-  const auto s = dispatcher.stats();
-  EXPECT_EQ(s.ingress_full_bypass, 12u);
-  // The gap between offered and forwarded is exactly what still sits
-  // in the ingress ring.
-  EXPECT_EQ(s.offered - s.forwarded(), 8u);
-  // Start everything; the 8 queued packets drain.
-  fx.pool.start();
-  dispatcher.start();
-  dispatcher.drain();
-  dispatcher.stop();
-  fx.pool.stop();
-  EXPECT_EQ(fx.pool.snapshot().totals().packets, 8u);
+  fx.plane.start();
+  fx.plane.drain();
+  fx.plane.stop();
+  const auto after = fx.plane.snapshot().totals();
+  EXPECT_EQ(after.packets, kRing);
+  EXPECT_EQ(after.processed + after.shed, kOffered);  // never dropped
+  EXPECT_EQ(fx.plane.arena().outstanding(), 0u) << "slots leaked";
 }
 
 // --- Lifecycle -----------------------------------------------------
 
 TEST(Runtime, DrainGivesDeterministicCountsAndQuiescentReads) {
-  WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 4096;
-  PoolFixture fx(config);
-  fx.pool.add_descriptor(make_descriptor(3));
-  Dispatcher dispatcher(
-      fx.pool, {.policy = DispatchPolicy::kDescriptorAffinity});
+  PlaneFixture fx(DispatchPolicy::kDescriptorAffinity,
+                  {.workers = 2, .ring_capacity = 4096});
+  fx.plane.add_descriptor(make_descriptor(3));
 
   util::ManualClock mint_clock(fx.clock.now());
   cookies::CookieGenerator gen(make_descriptor(3), mint_clock, 11);
 
-  fx.pool.start();
+  fx.plane.start();
   constexpr uint32_t kFlows = 200;
   for (uint32_t flow = 0; flow < kFlows; ++flow) {
     // Keep mint time current so cookies stay inside the NCT window
@@ -416,44 +536,41 @@ TEST(Runtime, DrainGivesDeterministicCountsAndQuiescentReads) {
     mint_clock.set(fx.clock.now());
     net::Packet first = flow_packet(flow, 0);
     cookies::attach(first, gen.generate(), cookies::Transport::kUdpHeader);
-    dispatcher.dispatch_blocking(std::move(first));
+    ingest_blocking(fx.plane, std::move(first));
     for (uint32_t seq = 1; seq < 5; ++seq) {
-      dispatcher.dispatch_blocking(flow_packet(flow, seq));
+      ingest_blocking(fx.plane, flow_packet(flow, seq));
     }
   }
-  dispatcher.drain();
+  fx.plane.drain();
 
   // Quiescent: totals are exact and non-atomic state is readable.
-  const auto totals = fx.pool.snapshot().totals();
+  const auto totals = fx.plane.snapshot().totals();
   EXPECT_EQ(totals.packets, uint64_t{kFlows} * 5);
   EXPECT_EQ(totals.processed, totals.packets);
-  EXPECT_EQ(fx.pool.total_verified(), kFlows);
+  EXPECT_EQ(fx.plane.total_verified(), kFlows);
   uint64_t middlebox_packets = 0;
-  for (size_t w = 0; w < fx.pool.worker_count(); ++w) {
-    middlebox_packets += fx.pool.middlebox(w).stats().packets;
+  for (size_t w = 0; w < fx.plane.worker_count(); ++w) {
+    middlebox_packets += fx.plane.middlebox(w).stats().packets;
   }
   EXPECT_EQ(middlebox_packets, totals.packets);
 
-  fx.pool.stop();
-  EXPECT_FALSE(fx.pool.running());
+  fx.plane.stop();
+  EXPECT_FALSE(fx.plane.running());
   // Counts unchanged by shutdown.
-  EXPECT_EQ(fx.pool.snapshot().totals().packets, uint64_t{kFlows} * 5);
+  EXPECT_EQ(fx.plane.snapshot().totals().packets, uint64_t{kFlows} * 5);
 }
 
 TEST(Runtime, StopWithoutDrainProcessesQueuedPackets) {
-  WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 1024;
-  PoolFixture fx(config);
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash});
-  fx.pool.start();
+  PlaneFixture fx(DispatchPolicy::kFlowHash,
+                  {.workers = 2, .ring_capacity = 1024});
+  fx.plane.start();
   constexpr uint32_t kPackets = 400;
   for (uint32_t i = 0; i < kPackets; ++i) {
-    dispatcher.dispatch_blocking(flow_packet(i % 32, i));
+    ingest_blocking(fx.plane, flow_packet(i % 32, i));
   }
   // stop() without drain(): workers finish their rings before exiting.
-  fx.pool.stop();
-  EXPECT_EQ(fx.pool.snapshot().totals().packets, kPackets);
+  fx.plane.stop();
+  EXPECT_EQ(fx.plane.snapshot().totals().packets, kPackets);
 }
 
 /// PR 5 satellite: the shed ledger must reconcile exactly with the
@@ -548,17 +665,14 @@ TEST(Runtime, DestructorJoinsRunningPool) {
 /// scrape-during-load case a /metrics endpoint lives in. TSan verifies
 /// the relaxed-atomic cells and the registry mutex discipline.
 TEST(Runtime, RegistrySnapshotsRaceFreeWithRunningPool) {
-  WorkerPool::Config config;
-  config.workers = 2;
-  config.ring_capacity = 1024;
-  PoolFixture fx(config);
-  fx.pool.add_descriptor(make_descriptor(7));
-  Dispatcher dispatcher(fx.pool, {.policy = DispatchPolicy::kFlowHash});
+  PlaneFixture fx(DispatchPolicy::kFlowHash,
+                  {.workers = 2, .ring_capacity = 1024});
+  fx.plane.add_descriptor(make_descriptor(7));
 
   util::ManualClock mint_clock(fx.clock.now());
   cookies::CookieGenerator gen(make_descriptor(7), mint_clock, 3);
 
-  fx.pool.start();
+  fx.plane.start();
   std::atomic<bool> done{false};
   std::thread reader([&done] {
     uint64_t last_packets = 0;
@@ -579,14 +693,14 @@ TEST(Runtime, RegistrySnapshotsRaceFreeWithRunningPool) {
     if (i % 4 == 0) {
       cookies::attach(p, gen.generate(), cookies::Transport::kUdpHeader);
     }
-    dispatcher.dispatch_blocking(std::move(p));
+    ingest_blocking(fx.plane, std::move(p));
   }
-  dispatcher.drain();
+  fx.plane.drain();
   done.store(true, std::memory_order_release);
   reader.join();
-  fx.pool.stop();
+  fx.plane.stop();
 
-  const auto totals = fx.pool.snapshot().totals();
+  const auto totals = fx.plane.snapshot().totals();
   EXPECT_EQ(totals.packets, kPackets);
   // Quiescent now: the registry and the snapshot agree exactly.
   const auto snap = telemetry::Registry::global().snapshot();
@@ -638,14 +752,13 @@ bool verdict_before(const VerdictRecord& a, const VerdictRecord& b) {
   return key(a) < key(b);
 }
 
-/// Differential test: the Dispatcher front end (route + arena alloc
-/// per packet) and the Dataplane facade (make_packet + fill_next +
-/// ingest, building in the slot) must produce identical VerdictRecord
-/// streams for the same seeded workload — same steering, same verify
-/// status, same replay decisions. This is the proof that the entry
-/// paths differ only in the transport of packets, not their
-/// semantics.
-TEST(Runtime, ArenaPathMatchesCopyPathVerdicts) {
+/// Differential test against a test-local oracle: route() plus one
+/// dataplane::Middlebox per worker, run on this thread. The threaded
+/// plane (make_packet + fill_next + ingest_blocking, packets built in
+/// their arena slots) must produce the same VerdictRecord multiset for
+/// the same seeded workload — same worker, same verify status, same
+/// replay decisions — so a steering or verify divergence fails here.
+TEST(Runtime, DataplaneMatchesInlineOracleVerdicts) {
   constexpr size_t kWorkers = 4;
   constexpr size_t kFlows = 200;
   constexpr uint64_t kSeed = 4242;
@@ -653,70 +766,73 @@ TEST(Runtime, ArenaPathMatchesCopyPathVerdicts) {
   wl.descriptors = 64;
   const size_t total = kFlows * wl.packets_per_flow;
 
-  std::vector<VerdictRecord> copy_verdicts;
-  {
-    util::SystemClock clock;
-    dataplane::ServiceRegistry registry;
-    registry.bind("Boost", dataplane::PriorityAction{0});
-    cookies::CookieVerifier staging(clock);
-    workload::PacketGenerator gen(wl, clock, staging, kSeed);
-    WorkerPool::Config config;
-    config.workers = kWorkers;
-    config.verdict_capacity = 1 << 15;
-    WorkerPool pool(clock, registry, config);
-    for (const auto& d : gen.descriptors()) pool.add_descriptor(d);
-    Dispatcher dispatcher(pool,
-                          {.policy = DispatchPolicy::kDescriptorAffinity});
-    pool.start();
-    for (net::Packet& p : gen.make_batch(kFlows)) {
-      dispatcher.dispatch_blocking(std::move(p));
+  util::SystemClock clock;
+  dataplane::ServiceRegistry registry;
+  registry.bind("Boost", dataplane::PriorityAction{0});
+  cookies::CookieVerifier plane_staging(clock);
+  workload::PacketGenerator plane_gen(wl, clock, plane_staging, kSeed);
+  cookies::CookieVerifier oracle_staging(clock);
+  workload::PacketGenerator oracle_gen(wl, clock, oracle_staging, kSeed);
+
+  Dataplane::Config config;
+  config.pool.workers = kWorkers;
+  config.pool.verdict_capacity = 1 << 15;
+  Dataplane plane(clock, registry, config);
+  for (const auto& d : plane_gen.descriptors()) plane.add_descriptor(d);
+
+  // The oracle: one verifier + middlebox per worker, as the pool
+  // builds them, fed in ingest order.
+  std::deque<cookies::CookieVerifier> verifiers;
+  std::deque<dataplane::Middlebox> middleboxes;
+  for (size_t w = 0; w < kWorkers; ++w) {
+    auto& verifier = verifiers.emplace_back(clock);
+    for (const auto& d : oracle_gen.descriptors()) {
+      verifier.add_descriptor(d);
     }
-    dispatcher.drain();
-    pool.stop();
-    pool.drain_verdicts(copy_verdicts);
+    middleboxes.emplace_back(clock, verifier, registry);
   }
 
-  std::vector<VerdictRecord> arena_verdicts;
-  {
-    util::SystemClock clock;
-    dataplane::ServiceRegistry registry;
-    registry.bind("Boost", dataplane::PriorityAction{0});
-    cookies::CookieVerifier staging(clock);
-    workload::PacketGenerator gen(wl, clock, staging, kSeed);
-    Dataplane::Config config;
-    config.pool.workers = kWorkers;
-    config.pool.verdict_capacity = 1 << 15;
-    Dataplane plane(clock, registry, config);
-    for (const auto& d : gen.descriptors()) plane.add_descriptor(d);
-    plane.start();
-    for (size_t i = 0; i < total; ++i) {
-      PacketHandle h = plane.make_packet();
-      while (!h) {  // transient exhaustion: workers are draining slots
-        std::this_thread::yield();
-        h = plane.make_packet();
-      }
-      gen.fill_next(*h);
-      plane.ingest_blocking(std::move(h));
-    }
-    plane.drain();
-    plane.stop();
-    plane.drain_verdicts(arena_verdicts);
-    EXPECT_EQ(plane.arena().outstanding(), 0u) << "arena leaked slots";
-  }
-
-  ASSERT_EQ(copy_verdicts.size(), total);
-  ASSERT_EQ(arena_verdicts.size(), total);
-  std::sort(copy_verdicts.begin(), copy_verdicts.end(), verdict_before);
-  std::sort(arena_verdicts.begin(), arena_verdicts.end(), verdict_before);
+  std::vector<VerdictRecord> oracle_verdicts;
+  plane.start();
   for (size_t i = 0; i < total; ++i) {
-    const auto& c = copy_verdicts[i];
-    const auto& a = arena_verdicts[i];
-    ASSERT_FALSE(verdict_before(c, a) || verdict_before(a, c))
+    net::Packet packet;
+    oracle_gen.fill_next(packet);
+    const size_t worker = plane.route(packet);
+    const dataplane::Verdict verdict = middleboxes[worker].process(packet);
+    oracle_verdicts.push_back({.worker = static_cast<uint32_t>(worker),
+                               .seq = packet.seq,
+                               .tuple = packet.tuple,
+                               .has_action = verdict.action.has_value(),
+                               .mapped_now = verdict.mapped_now,
+                               .verify_status = verdict.verify_status});
+
+    PacketHandle h = plane.make_packet();
+    while (!h) {  // transient exhaustion: workers are draining slots
+      std::this_thread::yield();
+      h = plane.make_packet();
+    }
+    plane_gen.fill_next(*h);
+    plane.ingest_blocking(std::move(h));
+  }
+  plane.drain();
+  plane.stop();
+  std::vector<VerdictRecord> plane_verdicts;
+  plane.drain_verdicts(plane_verdicts);
+  EXPECT_EQ(plane.arena().outstanding(), 0u) << "arena leaked slots";
+
+  ASSERT_EQ(oracle_verdicts.size(), total);
+  ASSERT_EQ(plane_verdicts.size(), total);
+  std::sort(oracle_verdicts.begin(), oracle_verdicts.end(), verdict_before);
+  std::sort(plane_verdicts.begin(), plane_verdicts.end(), verdict_before);
+  for (size_t i = 0; i < total; ++i) {
+    const auto& o = oracle_verdicts[i];
+    const auto& p = plane_verdicts[i];
+    ASSERT_FALSE(verdict_before(o, p) || verdict_before(p, o))
         << "tuple/seq streams diverge at " << i;
-    EXPECT_EQ(c.worker, a.worker) << "steering diverged at " << i;
-    EXPECT_EQ(c.has_action, a.has_action) << i;
-    EXPECT_EQ(c.mapped_now, a.mapped_now) << i;
-    EXPECT_EQ(c.verify_status, a.verify_status) << i;
+    EXPECT_EQ(o.worker, p.worker) << "steering diverged at " << i;
+    EXPECT_EQ(o.has_action, p.has_action) << i;
+    EXPECT_EQ(o.mapped_now, p.mapped_now) << i;
+    EXPECT_EQ(o.verify_status, p.verify_status) << i;
   }
 }
 

@@ -35,7 +35,7 @@ TEST(Wire, V4TcpRoundTrip) {
   p.syn = true;
   p.ack = true;
   const auto wire = serialize(p);
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->tuple, p.tuple);
   EXPECT_EQ(parsed->dscp, 46);
@@ -53,7 +53,7 @@ TEST(Wire, V4UdpRoundTrip) {
   const Packet p = base_packet(L4Proto::kUdp, false);
   const auto wire = serialize(p);
   EXPECT_EQ(wire.size(), 20u + 8u + p.payload.size());
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->tuple, p.tuple);
   EXPECT_EQ(parsed->payload, p.payload);
@@ -62,7 +62,7 @@ TEST(Wire, V4UdpRoundTrip) {
 TEST(Wire, V6TcpRoundTrip) {
   const Packet p = base_packet(L4Proto::kTcp, true);
   const auto wire = serialize(p);
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->ipv6);
   EXPECT_EQ(parsed->tuple, p.tuple);
@@ -74,7 +74,7 @@ TEST(Wire, V6HopByHopCookieRoundTrip) {
   Packet p = base_packet(L4Proto::kUdp, true);
   p.l3_cookie = util::Bytes{1, 2, 3, 4, 5, 6, 7, 8, 9};
   const auto wire = serialize(p);
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->l3_cookie.has_value());
   EXPECT_EQ(*parsed->l3_cookie, *p.l3_cookie);
@@ -91,7 +91,7 @@ TEST(Wire, TcpEdoOptionRoundTrip) {
     (*p.l4_cookie)[i] = static_cast<uint8_t>(i * 7);
   }
   const auto wire = serialize(p);
-  const auto parsed = parse(util::BytesView(wire));
+  const auto parsed = parse_packet(util::BytesView(wire));
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->l4_cookie.has_value());
   EXPECT_EQ(*parsed->l4_cookie, *p.l4_cookie);
@@ -102,7 +102,7 @@ TEST(Wire, TcpEdoOptionRoundTrip) {
 TEST(Wire, TcpEdoOverV6RoundTrip) {
   Packet p = base_packet(L4Proto::kTcp, true);
   p.l4_cookie = util::Bytes{1, 2, 3, 4, 5};
-  const auto parsed = parse(util::BytesView(serialize(p)));
+  const auto parsed = parse_packet(util::BytesView(serialize(p)));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->l4_cookie, p.l4_cookie);
 }
@@ -118,17 +118,33 @@ TEST(Wire, V4ChecksumCorruptionDetected) {
   const Packet p = base_packet(L4Proto::kTcp, false);
   auto wire = serialize(p);
   wire[14] ^= 0xff;  // corrupt a source-address byte
-  EXPECT_FALSE(parse(util::BytesView(wire)).has_value());
+  const auto parsed = parse_packet(util::BytesView(wire));
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().code, ErrorCode::kBadChecksum);
 }
 
+// Every strict prefix of a valid packet — v4/v6, TCP (with a large
+// option cookie) and UDP — is rejected with a typed wire-domain
+// truncation error; the whole wire parses back to the same packet.
 TEST(Wire, TruncationRejected) {
-  const Packet p = base_packet(L4Proto::kTcp, false);
-  const auto wire = serialize(p);
-  for (const size_t keep : {0u, 1u, 10u, 19u, 25u, 39u}) {
-    EXPECT_FALSE(
-        parse(util::BytesView(wire.data(), std::min(keep, wire.size())))
-            .has_value())
-        << "keep=" << keep;
+  for (const bool ipv6 : {false, true}) {
+    for (const auto proto : {L4Proto::kTcp, L4Proto::kUdp}) {
+      Packet p = base_packet(proto, ipv6);
+      if (proto == L4Proto::kTcp) p.l4_cookie = util::Bytes(53, 0x5a);
+      const auto wire = serialize(p);
+      for (size_t len = 0; len < wire.size(); ++len) {
+        const auto parsed = parse_packet(util::BytesView(wire.data(), len));
+        ASSERT_FALSE(parsed.has_value()) << "ipv6=" << ipv6 << " len=" << len;
+        EXPECT_EQ(parsed.error().domain, ErrorDomain::kWire);
+        EXPECT_EQ(parsed.error().code, ErrorCode::kTruncated)
+            << "ipv6=" << ipv6 << " len=" << len;
+      }
+      const auto whole = parse_packet(util::BytesView(wire));
+      ASSERT_TRUE(whole.has_value());
+      EXPECT_EQ(whole->tuple, p.tuple);
+      EXPECT_EQ(whole->payload, p.payload);
+      EXPECT_EQ(whole->l4_cookie, p.l4_cookie);
+    }
   }
 }
 
@@ -138,8 +154,12 @@ TEST(Wire, GarbageRejected) {
     util::Bytes junk(rng.next_u64(80));
     for (auto& b : junk) b = static_cast<uint8_t>(rng.next_u64());
     if (!junk.empty()) junk[0] = static_cast<uint8_t>(rng.next_u64(3) << 4);
-    // Must never crash; almost always rejects (version nibble invalid).
-    (void)parse(util::BytesView(junk));
+    // Must never crash; almost always rejects (version nibble invalid),
+    // and a rejection is always a typed wire-domain error.
+    const auto parsed = parse_packet(util::BytesView(junk));
+    if (!parsed) {
+      EXPECT_EQ(parsed.error().domain, ErrorDomain::kWire);
+    }
   }
   SUCCEED();
 }
@@ -186,7 +206,7 @@ TEST_P(WireRoundtrip, RandomPacketsRoundtrip) {
       p.l4_cookie = util::Bytes(1 + rng.next_u64(120));
       for (auto& b : *p.l4_cookie) b = static_cast<uint8_t>(rng.next_u64());
     }
-    const auto parsed = parse(util::BytesView(serialize(p)));
+    const auto parsed = parse_packet(util::BytesView(serialize(p)));
     ASSERT_TRUE(parsed.has_value()) << "iteration " << i;
     EXPECT_EQ(parsed->tuple, p.tuple);
     EXPECT_EQ(parsed->dscp, p.dscp);
@@ -209,12 +229,12 @@ TEST(SyncWire, FrameRoundTrip) {
   append_sync_frame(buffer, 4, {});  // empty payload is legal
 
   util::ByteReader r{util::BytesView(buffer)};
-  const auto first = parse_sync_frame(r);
+  const auto first = read_sync_frame(r);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->type, 9);
   EXPECT_EQ(util::Bytes(first->payload.begin(), first->payload.end()),
             payload);
-  const auto second = parse_sync_frame(r);
+  const auto second = read_sync_frame(r);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->type, 4);
   EXPECT_TRUE(second->payload.empty());
@@ -228,19 +248,25 @@ TEST(SyncWire, FrameRejectsBadEnvelope) {
   util::Bytes bad_magic = good;
   bad_magic[0] ^= 0xff;
   util::ByteReader r1{util::BytesView(bad_magic)};
-  EXPECT_FALSE(parse_sync_frame(r1).has_value());
+  const auto magic = read_sync_frame(r1);
+  ASSERT_FALSE(magic.has_value());
+  EXPECT_EQ(magic.error().code, ErrorCode::kBadMagic);
 
   util::Bytes bad_version = good;
   bad_version[2] = kSyncVersion + 1;
   util::ByteReader r2{util::BytesView(bad_version)};
-  EXPECT_FALSE(parse_sync_frame(r2).has_value());
+  const auto version = read_sync_frame(r2);
+  ASSERT_FALSE(version.has_value());
+  EXPECT_EQ(version.error().code, ErrorCode::kUnsupportedVersion);
 
   // Declared length beyond the buffer.
   util::Bytes overrun;
   append_sync_frame(overrun, 1, util::BytesView(good));
   overrun.resize(overrun.size() - 3);
   util::ByteReader r3{util::BytesView(overrun)};
-  EXPECT_FALSE(parse_sync_frame(r3).has_value());
+  const auto truncated = read_sync_frame(r3);
+  ASSERT_FALSE(truncated.has_value());
+  EXPECT_EQ(truncated.error().code, ErrorCode::kTruncated);
 }
 
 controlplane::SnapshotMessage rich_snapshot() {
@@ -271,19 +297,25 @@ controlplane::SnapshotMessage rich_snapshot() {
   return snap;
 }
 
+/// encode -> decode_message; a failed decode fails the test.
+controlplane::Message round_trip(const controlplane::Message& message) {
+  auto decoded = controlplane::decode_message(
+      util::BytesView(controlplane::encode(message)));
+  EXPECT_TRUE(decoded.has_value());
+  return decoded ? *decoded : controlplane::Message{};
+}
+
 TEST(SyncWire, MessagesRoundTrip) {
-  using controlplane::decode;
-  using controlplane::encode;
   using controlplane::Message;
 
   const Message request = controlplane::SyncRequest{99, 1234};
-  EXPECT_EQ(decode(util::BytesView(encode(request))), request);
+  EXPECT_EQ(round_trip(request), request);
 
   const Message heartbeat = controlplane::HeartbeatMessage{77};
-  EXPECT_EQ(decode(util::BytesView(encode(heartbeat))), heartbeat);
+  EXPECT_EQ(round_trip(heartbeat), heartbeat);
 
   const Message snapshot = rich_snapshot();
-  EXPECT_EQ(decode(util::BytesView(encode(snapshot))), snapshot);
+  EXPECT_EQ(round_trip(snapshot), snapshot);
 
   controlplane::DeltaMessage delta;
   delta.from_version = 17;
@@ -299,20 +331,24 @@ TEST(SyncWire, MessagesRoundTrip) {
   revoke.id = 42;
   delta.updates = {add, revoke};
   const Message delta_message = delta;
-  EXPECT_EQ(decode(util::BytesView(encode(delta_message))), delta_message);
+  EXPECT_EQ(round_trip(delta_message), delta_message);
 }
 
 TEST(SyncWire, EveryTruncationPrefixRejected) {
   // Chop a maximally-featured snapshot at every length; each prefix
-  // must decode to nullopt (defensive parsing), never crash or
-  // misparse.
+  // must fail with a typed truncation error (defensive parsing), never
+  // crash or misparse, and the whole message must decode.
   const util::Bytes full =
       controlplane::encode(controlplane::Message(rich_snapshot()));
   for (size_t len = 0; len < full.size(); ++len) {
     const util::BytesView prefix(full.data(), len);
-    EXPECT_FALSE(controlplane::decode(prefix).has_value())
-        << "prefix of " << len << " bytes parsed";
+    const auto decoded = controlplane::decode_message(prefix);
+    ASSERT_FALSE(decoded.has_value()) << "prefix of " << len << " bytes parsed";
+    EXPECT_EQ(decoded.error().code, ErrorCode::kTruncated) << "len=" << len;
   }
+  const auto whole = controlplane::decode_message(util::BytesView(full));
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(*whole, controlplane::Message(rich_snapshot()));
 }
 
 TEST(SyncWire, UnknownFrameTypeIsSkipped) {
@@ -326,7 +362,7 @@ TEST(SyncWire, UnknownFrameTypeIsSkipped) {
           controlplane::HeartbeatMessage{5}));
   datagram.insert(datagram.end(), heartbeat.begin(), heartbeat.end());
 
-  const auto decoded = controlplane::decode(util::BytesView(datagram));
+  const auto decoded = controlplane::decode_message(util::BytesView(datagram));
   ASSERT_TRUE(decoded.has_value());
   const auto* hb = std::get_if<controlplane::HeartbeatMessage>(&*decoded);
   ASSERT_NE(hb, nullptr);
@@ -336,8 +372,10 @@ TEST(SyncWire, UnknownFrameTypeIsSkipped) {
   // loop.
   util::Bytes only_unknown;
   append_sync_frame(only_unknown, 0x70, util::BytesView(future));
-  EXPECT_FALSE(
-      controlplane::decode(util::BytesView(only_unknown)).has_value());
+  const auto none =
+      controlplane::decode_message(util::BytesView(only_unknown));
+  ASSERT_FALSE(none.has_value());
+  EXPECT_EQ(none.error().code, ErrorCode::kUnknownType);
 }
 
 TEST(SyncWire, DescriptorCodecRejectsCorruptFields) {
@@ -361,30 +399,62 @@ TEST(SyncWire, DescriptorCodecRejectsCorruptFields) {
   EXPECT_FALSE(controlplane::decode_descriptor(r).has_value());
 }
 
-// --- Expected-returning API (PR 5): differential vs legacy ---------
+// --- Expected-returning API (PR 5) -------------------------------
 
-/// The legacy optional views must agree with the Expected-returning
-/// primaries on every input — the api_redesign satellite's "no
-/// behavior change" contract, checked byte-for-byte over full wires
-/// and every truncation of them.
+/// The two packet decoders — parse_packet and the in-place
+/// parse_packet_into that arena slots use — must agree on every input:
+/// same accept/reject decision and error code over full wires and every
+/// truncation of them, and the same packet on success even when the
+/// reused slot still holds a previous occupant.
 TEST(Wire, ExpectedAndLegacyParseAgreeOnEveryPrefix) {
   for (const bool ipv6 : {false, true}) {
     for (const auto proto : {L4Proto::kTcp, L4Proto::kUdp}) {
       Packet p = base_packet(proto, ipv6);
       if (proto == L4Proto::kTcp) p.l4_cookie = util::Bytes(53, 0x5a);
       const auto wire = serialize(p);
+      Packet slot = base_packet(L4Proto::kUdp, !ipv6);
+      slot.l3_cookie = util::Bytes{9, 9, 9};
       for (size_t len = 0; len <= wire.size(); ++len) {
         const util::BytesView view(wire.data(), len);
-        const auto legacy = parse(view);
         const auto primary = parse_packet(view);
-        ASSERT_EQ(legacy.has_value(), primary.has_value())
+        const auto in_place = parse_packet_into(view, slot);
+        ASSERT_EQ(primary.has_value(), in_place.has_value())
             << "ipv6=" << ipv6 << " len=" << len;
-        if (legacy.has_value()) {
-          EXPECT_EQ(legacy->tuple, primary.value().tuple);
-          EXPECT_EQ(legacy->payload, primary.value().payload);
-          EXPECT_EQ(legacy->l4_cookie, primary.value().l4_cookie);
+        if (!primary.has_value()) {
+          EXPECT_EQ(primary.error().code, in_place.error().code)
+              << "ipv6=" << ipv6 << " len=" << len;
+          continue;
         }
+        EXPECT_EQ(len, wire.size());
+        EXPECT_EQ(slot.tuple, primary->tuple);
+        EXPECT_EQ(slot.payload, primary->payload);
+        EXPECT_EQ(slot.l3_cookie, primary->l3_cookie);
+        EXPECT_EQ(slot.l4_cookie, primary->l4_cookie);
+        EXPECT_EQ(slot.wire_size, primary->wire_size);
       }
+    }
+  }
+}
+
+/// The datagram decoder and the TCP stream-reassembly probe must agree
+/// on every prefix of a frame: decode_message succeeds exactly when
+/// peek_sync_frame reports a whole frame buffered, and otherwise fails
+/// with kTruncated.
+TEST(SyncWire, DecodeExpectedAndLegacyAgreeOnEveryPrefix) {
+  const controlplane::Message message(rich_snapshot());
+  const util::Bytes full = controlplane::encode(message);
+  for (size_t len = 0; len <= full.size(); ++len) {
+    const util::BytesView prefix(full.data(), len);
+    const auto probe = peek_sync_frame(prefix);
+    ASSERT_TRUE(probe.has_value()) << "len=" << len;
+    const bool whole_frame = probe->has_value() && **probe <= len;
+    const auto decoded = controlplane::decode_message(prefix);
+    ASSERT_EQ(decoded.has_value(), whole_frame) << "len=" << len;
+    if (decoded.has_value()) {
+      EXPECT_EQ(**probe, full.size());
+      EXPECT_EQ(*decoded, message);
+    } else {
+      EXPECT_EQ(decoded.error().code, ErrorCode::kTruncated) << "len=" << len;
     }
   }
 }
@@ -416,20 +486,6 @@ TEST(Wire, ParseErrorsAreTypedAndTallied) {
   EXPECT_EQ(
       ErrorTally::instance().count(ErrorDomain::kWire, ErrorCode::kTruncated),
       before + 1);
-}
-
-TEST(SyncWire, DecodeExpectedAndLegacyAgreeOnEveryPrefix) {
-  const util::Bytes full =
-      controlplane::encode(controlplane::Message(rich_snapshot()));
-  for (size_t len = 0; len <= full.size(); ++len) {
-    const util::BytesView prefix(full.data(), len);
-    const auto legacy = controlplane::decode(prefix);
-    const auto primary = controlplane::decode_message(prefix);
-    ASSERT_EQ(legacy.has_value(), primary.has_value()) << "len=" << len;
-    if (legacy.has_value()) {
-      EXPECT_EQ(*legacy, primary.value());
-    }
-  }
 }
 
 TEST(SyncWire, DecodeMessageErrorsAreTyped) {
