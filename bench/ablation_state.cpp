@@ -5,14 +5,16 @@
 //                            bytes/descriptor (budget: <= 160 B
 //                            amortized, hot midstates excluded), index
 //                            probe p99, process RSS.
-//   state/verify/local     — single-descriptor local-mode verify, the
+//   state/verify/local     — a one-descriptor verifier on the same
+//                            path (own table, hot tier, one replay
+//                            cache), the
 //                            in-run stand-in for BENCH_crypto.json's
 //                            BM_CookieVerify figure. Comparing within
 //                            one run factors out machine drift.
-//   state/verify/zipf_hot  — external-table mode over the N-entry
-//                            store under a Zipf access stream: the
-//                            hot tier keeps midstates for the working
-//                            set, tail hits pay rehydration.
+//   state/verify/zipf_hot  — a published N-entry table under a Zipf
+//                            access stream: the hot tier keeps
+//                            midstates for the working set, tail hits
+//                            pay rehydration.
 //                            Acceptance: within 5% of local baseline.
 //   state/verify/epoch_churn — same stream while the table epoch flips
 //                            every 64 Ki packets, forcing hot-tier
@@ -140,11 +142,12 @@ int main(int argc, char** argv) {
   const nnn::cookies::CookieTime ts =
       nnn::cookies::to_cookie_time(clock.now());
 
-  // --- Phase 2: local-mode baseline (the BM_CookieVerify shape) -----
-  // Same stream length and warmup split as the Zipf phase, so both
-  // sides carry the same replay-cache cache-pressure: at 10M-uuid
-  // scale the uuid table dominates ns/verify variance, and a short
-  // baseline would flatter itself with an L2-resident cache.
+  // --- Phase 2: one-descriptor baseline (the BM_CookieVerify shape) -
+  // Same verify path, stream length and warmup split as the Zipf
+  // phase, so both sides carry the same replay-cache cache-pressure:
+  // at 10M-uuid scale the uuid table dominates ns/verify variance, and
+  // a short baseline would flatter itself with an L2-resident cache.
+  // Only the descriptor working set differs.
   const size_t warmup = zipf_packets / 4;
   const size_t measured = zipf_packets - warmup;
   double local_ns = 0;
@@ -166,8 +169,9 @@ int main(int argc, char** argv) {
       if (!local.verify(batch[i]).ok()) std::abort();
     }
     local_ns = elapsed_ns(t0, Clock::now()) / static_cast<double>(measured);
-    std::printf("verify/local   %9.1f ns/verify (in-run baseline; "
-                "BENCH_crypto.json tracks the canonical figure)\n",
+    std::printf("verify/local   %9.1f ns/verify (one-descriptor in-run "
+                "baseline; BENCH_crypto.json tracks the canonical "
+                "figure)\n",
                 local_ns);
     nnn::bench::BenchRecord rec;
     rec.name = "state/verify/local";

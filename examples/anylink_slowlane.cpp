@@ -92,7 +92,10 @@ int main() {
     descriptor.key.assign(32, 0x33);
     descriptor.service_data = service;
     verifier.add_descriptor(descriptor);
-    cookies::CookieGenerator generator(descriptor, clock, 21);
+    // One uuid stream per descriptor: the verifier's replay cache
+    // spans all descriptors, so a shared seed would replay uuids.
+    cookies::CookieGenerator generator(descriptor, clock,
+                                       descriptor.cookie_id);
 
     net::Packet request;
     request.tuple.src_ip = net::IpAddress::v4(10, 0, 0, 2);

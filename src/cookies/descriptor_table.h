@@ -3,10 +3,12 @@
 // The control plane builds a complete DescriptorTable off the hot
 // path, publishes it through controlplane::TablePublisher with an
 // atomic pointer swap, and reclaims the previous table only after
-// every reader passed a quiescent point. Once constructed a table is
-// never mutated (the publisher stamps `epoch` exactly once, before the
-// table becomes visible to any reader), so any number of worker
-// threads may read it with no locks in verify_batch.
+// every reader passed a quiescent point. Once constructed a published
+// table is never mutated (the publisher stamps `epoch` exactly once,
+// before the table becomes visible to any reader), so any number of
+// worker threads may read it with no locks in verify_batch. The one
+// table that is edited in place is a CookieVerifier's own, which only
+// its single writer ever sees; it bumps the epoch on every edit.
 //
 // Contents are a cookies::DescriptorStore snapshot: one 64-byte
 // Record per descriptor (key inline, revocation tombstone, expiry)
@@ -37,6 +39,10 @@ class DescriptorTable {
   }
 
   const DescriptorStore& store() const { return store_; }
+  /// In-place edits, for a table its owner never publishes (a
+  /// CookieVerifier's own table). Published tables are only ever
+  /// reached through const pointers.
+  DescriptorStore& store() { return store_; }
 
   size_t size() const { return store_.size(); }
 

@@ -8,10 +8,11 @@
 // it puts the build cost of two SHA-256 compressions per entry on
 // every table publish.
 //
-// The HotTier is a verifier-local cache over the published table's
-// cold records: descriptors actually hit get a resident entry holding
-// the materialized CookieDescriptor and its ready-to-resume key
-// schedule; everything else stays a 64-byte cold Record. A cold hit
+// The HotTier is a verifier-local cache over the active table's cold
+// records (a published table, or the verifier's own): descriptors
+// actually hit get a resident entry holding the materialized
+// CookieDescriptor and its ready-to-resume key schedule; everything
+// else stays a 64-byte cold Record. A cold hit
 // "rehydrates" — two SHA-256 compressions off the record's raw key —
 // and CLOCK (second-chance) eviction keeps residency inside a fixed
 // budget, so the sliding window of hot descriptors sizes memory, not

@@ -96,8 +96,8 @@ class ReplayCache {
   /// Offline probe-length distribution over the handle index.
   state::ProbeStats probe_stats(size_t max_samples) const;
   /// When set, insert probes are sampled (1 in 64) into `hist`. The
-  /// histogram must outlive the cache. Left unset on the per-descriptor
-  /// caches of local-mode verifiers, which keeps them allocation-lean.
+  /// histogram must outlive the cache. A CookieVerifier points its
+  /// cache at the verifier's nnn_state_probe_len histogram.
   void set_probe_histogram(telemetry::Histogram* hist) {
     probe_hist_ = hist;
   }

@@ -30,9 +30,9 @@ CookieVerifier::WriterCheck::~WriterCheck() {
 #endif
 
 CookieVerifier::CookieVerifier(const util::Clock& clock, util::Timestamp nct)
-    : clock_(clock), nct_(nct), external_replay_(nct) {
+    : clock_(clock), nct_(nct), replays_(nct) {
   hot_.set_probe_histogram(&probe_len_);
-  external_replay_.set_probe_histogram(&probe_len_);
+  replays_.set_probe_histogram(&probe_len_);
   registration_ = telemetry::Registry::global().add_collector(
       [this](telemetry::SampleBuilder& builder) { collect(builder); });
 }
@@ -56,10 +56,10 @@ void CookieVerifier::collect(telemetry::SampleBuilder& builder) const {
   builder.counter("nnn_state_hot_evictions_total",
                   "Hot-tier CLOCK evictions", {}, hot_evictions_.value());
   builder.gauge("nnn_state_replay_entries",
-                "Outstanding uuids in the external replay cache", {},
+                "Outstanding uuids in the replay cache", {},
                 replay_entries_.value());
   builder.gauge("nnn_state_replay_wheel_occupied",
-                "Non-empty expiry-wheel slots in the external replay cache",
+                "Non-empty expiry-wheel slots in the replay cache",
                 {}, replay_wheel_occupied_.value());
   builder.counter("nnn_state_replay_capacity_evictions_total",
                   "Replay entries evicted early because the cache was full",
@@ -73,114 +73,90 @@ void CookieVerifier::sync_state_metrics() {
   hot_resident_.set(static_cast<int64_t>(hot_.resident()));
   hot_rehydrations_.set(hot_.rehydrations());
   hot_evictions_.set(hot_.evictions());
-  replay_entries_.set(static_cast<int64_t>(external_replay_.size()));
+  replay_entries_.set(static_cast<int64_t>(replays_.size()));
   replay_wheel_occupied_.set(
-      static_cast<int64_t>(external_replay_.wheel_occupied_slots()));
-  replay_capacity_evictions_.set(external_replay_.capacity_evictions());
+      static_cast<int64_t>(replays_.wheel_occupied_slots()));
+  replay_capacity_evictions_.set(replays_.capacity_evictions());
 }
 
-void CookieVerifier::add_descriptor(CookieDescriptor descriptor) {
-  const WriterCheck check(*this);
-  const CookieId id = descriptor.cookie_id;
-  crypto::HmacKeySchedule schedule{util::BytesView(descriptor.key)};
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    it->second.descriptor = std::move(descriptor);
-    it->second.schedule = schedule;
-    it->second.revoked = false;
-    return;
+void CookieVerifier::owned_changed() {
+  owned_.set_epoch(owned_.epoch() + 1);
+  if (table_ == &owned_) {
+    descriptors_.set(static_cast<int64_t>(owned_.size()));
   }
-  table_.emplace(id, Entry{std::move(descriptor), schedule,
-                           ReplayCache(nct_), false});
-  if (!external_mode_) descriptors_.set(static_cast<int64_t>(table_.size()));
+}
+
+void CookieVerifier::add_descriptor(const CookieDescriptor& descriptor) {
+  const WriterCheck check(*this);
+  owned_.store().upsert(descriptor);
+  owned_changed();
 }
 
 void CookieVerifier::set_external_table(const DescriptorTable* table) {
   const WriterCheck check(*this);
-  external_ = table;
-  external_mode_ = true;
+  // Hot entries stamped with an own-table epoch must never match a
+  // publisher epoch of the same value.
+  if (table_ == &owned_) hot_.clear();
+  table_ = table;
   descriptors_.set(static_cast<int64_t>(table ? table->size() : 0));
   sync_state_metrics();
 }
 
 void CookieVerifier::configure_external_replay(size_t capacity) {
   const WriterCheck check(*this);
-  external_replay_ = ReplayCache(nct_, capacity);
-  external_replay_.set_probe_histogram(&probe_len_);
+  replays_ = ReplayCache(nct_, capacity);
+  replays_.set_probe_histogram(&probe_len_);
 }
 
 bool CookieVerifier::revoke(CookieId id) {
   const WriterCheck check(*this);
-  auto it = table_.find(id);
-  if (it == table_.end()) return false;
-  it->second.revoked = true;
-  return true;
+  const bool known = owned_.find(id) != nullptr;
+  owned_.store().revoke(id);
+  owned_changed();
+  return known;
 }
 
 bool CookieVerifier::remove(CookieId id) {
   const WriterCheck check(*this);
-  const bool removed = table_.erase(id) > 0;
-  if (!external_mode_) descriptors_.set(static_cast<int64_t>(table_.size()));
+  const bool removed = owned_.store().erase(id);
+  if (removed) owned_changed();
   return removed;
 }
 
 bool CookieVerifier::knows(CookieId id) const {
-  if (external_mode_) return external_ != nullptr && external_->find(id);
-  return table_.contains(id);
+  return table_ != nullptr && table_->find(id) != nullptr;
 }
 
 const CookieDescriptor* CookieVerifier::find(CookieId id) const {
-  if (external_mode_) {
-    if (external_ == nullptr) return nullptr;
-    const uint64_t epoch = external_->epoch();
-    if (const HotTier::Entry* hot = hot_.lookup(id, epoch)) {
-      return &hot->descriptor;
-    }
-    const DescriptorStore::Record* record = external_->find(id);
-    if (record == nullptr || record->revoked) return nullptr;
-    return &hot_.admit(*record, external_->store(), epoch)->descriptor;
+  if (table_ == nullptr) return nullptr;
+  const uint64_t epoch = table_->epoch();
+  if (const HotTier::Entry* hot = hot_.lookup(id, epoch)) {
+    return &hot->descriptor;
   }
-  const auto it = table_.find(id);
-  if (it == table_.end() || it->second.revoked) return nullptr;
-  return &it->second.descriptor;
+  const DescriptorStore::Record* record = table_->find(id);
+  if (record == nullptr || record->revoked) return nullptr;
+  return &hot_.admit(*record, table_->store(), epoch)->descriptor;
 }
 
 bool CookieVerifier::resolve(CookieId id, Resolved& out) {
-  if (external_mode_) {
-    if (external_ == nullptr) return false;
-    const uint64_t epoch = external_->epoch();
-    // Fast path: a hot entry stamped with the current epoch is known
-    // valid (revoked records are never admitted, and a swap bumps the
-    // epoch, forcing re-resolution below).
-    if (const HotTier::Entry* hot = hot_.lookup(id, epoch)) {
-      out.descriptor = &hot->descriptor;
-      out.schedule = &hot->schedule;
-      out.replays = &external_replay_;
-      out.revoked = false;
-      return true;
-    }
-    const DescriptorStore::Record* record = external_->find(id);
+  if (table_ == nullptr) return false;
+  const uint64_t epoch = table_->epoch();
+  // Fast path: a hot entry stamped with the current epoch is known
+  // valid (revoked records are never admitted, and any table change
+  // bumps the epoch, forcing re-resolution below).
+  const HotTier::Entry* hot = hot_.lookup(id, epoch);
+  if (hot == nullptr) {
+    const DescriptorStore::Record* record = table_->find(id);
     if (record == nullptr) return false;
     if (record->revoked) {
       // Tombstones stay cold: verify_resolved checks `revoked` before
       // touching descriptor/schedule, so those stay null.
-      out = Resolved{nullptr, nullptr, nullptr, true};
+      out = Resolved{nullptr, nullptr, true};
       return true;
     }
-    const HotTier::Entry* hot = hot_.admit(*record, external_->store(), epoch);
-    out.descriptor = &hot->descriptor;
-    out.schedule = &hot->schedule;
-    out.replays = &external_replay_;
-    out.revoked = false;
-    return true;
+    hot = hot_.admit(*record, table_->store(), epoch);
   }
-  const auto it = table_.find(id);
-  if (it == table_.end()) return false;
-  Entry& entry = it->second;
-  out.descriptor = &entry.descriptor;
-  out.schedule = &entry.schedule;
-  out.revoked = entry.revoked;
-  out.replays = &entry.replays;
+  out = Resolved{&hot->descriptor, &hot->schedule, false};
   return true;
 }
 
@@ -217,7 +193,7 @@ VerifyResult CookieVerifier::verify_resolved(const Resolved& match,
     return VerifyResult{VerifyStatus::kStaleTimestamp, nullptr};
   }
   // (iv) use-once.
-  if (!match.replays->insert(cookie.uuid, now)) {
+  if (!replays_.insert(cookie.uuid, now)) {
     status_.inc(VerifyStatus::kReplayed);
     return VerifyResult{VerifyStatus::kReplayed, nullptr};
   }
@@ -227,14 +203,14 @@ VerifyResult CookieVerifier::verify_resolved(const Resolved& match,
 
 VerifyResult CookieVerifier::verify(const Cookie& cookie) {
   const WriterCheck check(*this);
-  if (external_mode_) hot_.begin_burst();
+  hot_.begin_burst();
   Resolved match;
   if (!resolve(cookie.cookie_id, match)) {
     status_.inc(VerifyStatus::kUnknownId);
     return VerifyResult{VerifyStatus::kUnknownId, nullptr};
   }
   const VerifyResult result = verify_resolved(match, cookie, clock_.now());
-  if (external_mode_) sync_state_metrics();
+  sync_state_metrics();
   return result;
 }
 
@@ -244,7 +220,7 @@ void CookieVerifier::verify_batch(std::span<const Cookie> cookies,
   const WriterCheck check(*this);
   const size_t n = cookies.size();
   if (n == 0) return;
-  if (external_mode_) hot_.begin_burst();
+  hot_.begin_burst();
   // Batch-level timing: two clock reads per burst, never per cookie.
   // A 32-cookie burst is >=10 us of MAC work, so the ~86 ns timer pair
   // stays under 1% there; smaller bursts (a trickling producer can
@@ -283,7 +259,7 @@ void CookieVerifier::verify_batch(std::span<const Cookie> cookies,
     }
     results[idx] = verify_resolved(match, cookie, now);
   }
-  if (external_mode_) sync_state_metrics();
+  sync_state_metrics();
 }
 
 VerifyResult CookieVerifier::verify_wire(util::BytesView wire) {

@@ -1,30 +1,38 @@
 // Network-side cookie verification (Listing 3, match_cookie).
 //
-// The verifier owns the descriptor state a cookie-enabled switch or
-// middlebox matches against, replay protection, and the four checks
-// of §4.2: (i) the cookie ID is known, (ii) the MAC digest matches
+// The verifier owns replay protection and the four checks of §4.2:
+// (i) the cookie ID is known, (ii) the MAC digest matches
 // (constant-time), (iii) the timestamp is within the network
 // coherency time, (iv) the cookie has not been seen before.
 //
+// One descriptor source: the verifier always resolves ids through a
+// DescriptorTable (compact DescriptorStore records). By default that
+// is a table the verifier owns and edits in place through
+// add_descriptor/revoke/remove (the household shape: examples,
+// studies, the Boost daemon). set_external_table switches it, once and
+// for good, to an immutable table the control plane publishes (the
+// ISP shape: the threaded runtime and the sync path). Either way the
+// resolve path is the same.
+//
 // Hot-path shape (§4.6, Fig. 4): MAC verification resumes from
 // precomputed ipad/opad SHA-256 midstates instead of re-deriving the
-// key schedule — half the compressions per cookie. In local
-// (household) mode every installed descriptor carries its schedule.
-// In external-table mode (ISP scale) schedules live in a bounded
-// cookies::HotTier keyed by table epoch: descriptors actually hit
-// stay resident with midstates, cold ones are 64-byte table records
-// rehydrated on first hit, so a million-descriptor table does not
-// mean a million midstates. verify_batch() amortizes the remaining
-// per-call costs (clock read, descriptor lookup) across a burst, the
-// unit of work the runtime's rings hand to a worker.
+// key schedule — half the compressions per cookie. Schedules live in
+// a bounded cookies::HotTier keyed by table epoch: descriptors
+// actually hit stay resident with midstates, cold ones are 64-byte
+// table records rehydrated on first hit, so a million-descriptor
+// table does not mean a million midstates. An edit to the owned table
+// bumps its epoch, and the hot tier revalidates lazily on the next
+// hit exactly as it does after a published swap. verify_batch()
+// amortizes the remaining per-call costs (clock read, descriptor
+// lookup) across a burst, the unit of work the runtime's rings hand
+// to a worker.
 //
-// Replay scope: local mode keeps one ReplayCache per descriptor. In
-// external-table mode the verifier keeps ONE uuid-keyed ReplayCache
-// for all descriptors — uuids are 128-bit randoms minted per cookie,
-// so cross-descriptor uuid reuse is adversarial and rejecting it is
-// strictly more conservative; in exchange replay state is O(outstanding
-// cookies), not O(descriptors), at ISP scale. Use-once state still
-// survives table swaps.
+// Replay scope: the verifier keeps ONE uuid-keyed ReplayCache for all
+// descriptors — uuids are 128-bit randoms minted per cookie, so
+// cross-descriptor uuid reuse is adversarial and rejecting it is
+// strictly more conservative; in exchange replay state is
+// O(outstanding cookies), not O(descriptors). Use-once state survives
+// table swaps.
 //
 // A failed match never drops traffic: "If it fails to match, it
 // behaves as if the cookie was not there, offering default services."
@@ -36,10 +44,10 @@
 // A CookieVerifier is NOT thread-safe. Exactly one thread at a time
 // may call any mutating, verifying, or resolving member
 // (add_descriptor, revoke, remove, verify*, find, reset_stats,
-// set_external_table): verification mutates replay caches, the hot
+// set_external_table): verification mutates the replay cache, the hot
 // tier, and status counters, and a concurrent add/remove rehashes the
-// descriptor map that an in-flight verify_batch is iterating — a data
-// race and potential use-after-free with no diagnostic. Debug builds
+// owned store that an in-flight verify_batch is reading — a data race
+// and potential use-after-free with no diagnostic. Debug builds
 // enforce the contract with an atomic owner check that aborts on a
 // cross-thread overlap; release builds compile the check out. To feed
 // descriptor updates to a verifier that another thread is running
@@ -47,8 +55,8 @@
 // immutable DescriptorTable through controlplane::TablePublisher and
 // hand it to the verifying thread via set_external_table (the
 // runtime's WorkerPool::bind_table_publisher does exactly this; the
-// pool's legacy add_descriptor/revoke path instead waits for the
-// worker to quiesce before touching its shard).
+// pool's own add_descriptor/revoke, for pools without a publisher,
+// instead require the workers to be quiescent).
 #pragma once
 
 #include <atomic>
@@ -58,7 +66,6 @@
 #include <span>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cookies/cookie.h"
@@ -122,11 +129,9 @@ constexpr Error to_error(VerifyStatus s) {
 
 struct VerifyResult {
   VerifyStatus status = VerifyStatus::kUnknownId;
-  /// Set when status == kOk. In local mode it points at the
-  /// verifier's installed descriptor and is valid until the
-  /// descriptor is removed; in external-table mode it points into the
-  /// verifier's hot tier and is valid until the next verify call
-  /// (which may recycle evicted slots).
+  /// Set when status == kOk. Points into the verifier's hot tier and
+  /// is valid until the next verify or find call (which may recycle
+  /// evicted slots or re-materialize a revalidated entry).
   const CookieDescriptor* descriptor = nullptr;
 
   bool ok() const { return status == VerifyStatus::kOk; }
@@ -172,40 +177,44 @@ class CookieVerifier {
   CookieVerifier(const CookieVerifier&) = delete;
   CookieVerifier& operator=(const CookieVerifier&) = delete;
 
-  /// Install a descriptor (the network side learned it when issuing).
-  /// Replaces any existing descriptor with the same id. Precomputes
-  /// the HMAC key schedule the verify hot path resumes from.
-  void add_descriptor(CookieDescriptor descriptor);
+  /// Install a descriptor into the verifier's own table (the network
+  /// side learned it when issuing). Replaces any existing descriptor
+  /// with the same id and clears a revocation tombstone. The HMAC key
+  /// schedule is built on the descriptor's first hit.
+  void add_descriptor(const CookieDescriptor& descriptor);
 
-  /// External-table mode: verify against an immutable DescriptorTable
-  /// published by the control plane instead of the verifier's own map.
-  /// The caller (the verifying thread) re-acquires and re-installs the
-  /// current table before each burst; the table must stay valid until
-  /// the next set_external_table call (the epoch reclamation in
+  /// Verify against an immutable DescriptorTable published by the
+  /// control plane instead of the verifier's own table. The caller
+  /// (the verifying thread) re-acquires and re-installs the current
+  /// table before each burst; the table must stay valid until the
+  /// next set_external_table call (the epoch reclamation in
   /// controlplane::TablePublisher guarantees this). nullptr means "no
   /// table yet" and verifies everything as kUnknownId. Replay and
   /// hot-tier state stay local to the verifier, so use-once memory and
   /// warm midstates survive table swaps (the hot tier revalidates
-  /// epoch-stamped entries lazily). External mode is one-way for the
-  /// lifetime of the verifier (add_descriptor/revoke/remove keep
-  /// editing the local map, but verification ignores it), which keeps
-  /// the hot-path branch predictable.
+  /// epoch-stamped entries lazily). The switch is one-way for the
+  /// lifetime of the verifier: add_descriptor/revoke/remove keep
+  /// editing its own table, but verification no longer reads it. The
+  /// first switch empties the hot tier, since the own table's epochs
+  /// and the publisher's are unrelated counters.
   void set_external_table(const DescriptorTable* table);
-  bool external_mode() const { return external_mode_; }
 
   /// Revocation (§4.5): "the network can similarly stop matching
   /// against a cookie to stop offering a service." Returns true if the
-  /// id was known. Revoked ids keep a tombstone so verification
-  /// reports kDescriptorRevoked rather than kUnknownId.
+  /// id was known. The id keeps a tombstone either way, so
+  /// verification reports kDescriptorRevoked rather than kUnknownId —
+  /// also for a revocation that arrives before its descriptor.
   bool revoke(CookieId id);
 
-  /// Remove entirely (descriptor and tombstone).
+  /// Remove entirely (descriptor and tombstone). Returns whether the
+  /// id was present.
   bool remove(CookieId id);
 
+  /// Whether the active table holds `id`, live or tombstoned.
   bool knows(CookieId id) const;
-  /// The live descriptor for `id`, or nullptr (unknown or revoked). In
-  /// external mode this admits the record into the hot tier; the
-  /// pointer is valid until the next verify call.
+  /// The live descriptor for `id`, or nullptr (unknown or revoked).
+  /// Admits the record into the hot tier; the pointer is valid until
+  /// the next verify or find call.
   const CookieDescriptor* find(CookieId id) const;
 
   /// Run the §4.2 checks on a cookie. A kOk result records the uuid in
@@ -233,36 +242,24 @@ class CookieVerifier {
   /// extension).
   VerifierStats stats() const;
   void reset_stats();
-  size_t descriptor_count() const {
-    return external_mode_ ? (external_ ? external_->size() : 0)
-                          : table_.size();
-  }
+  /// Records in the active table, tombstones included.
+  size_t descriptor_count() const { return table_ ? table_->size() : 0; }
   util::Timestamp nct() const { return nct_; }
 
-  /// External-mode state knobs and introspection (bench/tests).
-  /// set_hot_budget bounds resident midstates; configure_external_replay
-  /// RESETS the external replay cache with a new capacity (use before
-  /// traffic, e.g. to size for tens of millions of outstanding uuids).
+  /// State knobs and introspection (bench/tests). set_hot_budget
+  /// bounds resident midstates; configure_external_replay RESETS the
+  /// replay cache with a new capacity (use before traffic, e.g. to
+  /// size for tens of millions of outstanding uuids).
   void set_hot_budget(size_t budget) { hot_.set_budget(budget); }
   const HotTier& hot_tier() const { return hot_; }
   void configure_external_replay(size_t capacity);
-  const ReplayCache& external_replay() const { return external_replay_; }
+  const ReplayCache& external_replay() const { return replays_; }
 
  private:
-  struct Entry {
-    CookieDescriptor descriptor;
-    /// ipad/opad midstates for descriptor.key, built at install time.
-    crypto::HmacKeySchedule schedule;
-    ReplayCache replays;
-    bool revoked = false;
-  };
-
-  /// A descriptor match independent of where it came from (local map
-  /// entry or hot-tier slot backed by the external table).
+  /// A descriptor match: a hot-tier slot, or a bare tombstone.
   struct Resolved {
     const CookieDescriptor* descriptor = nullptr;
     const crypto::HmacKeySchedule* schedule = nullptr;
-    ReplayCache* replays = nullptr;
     bool revoked = false;
   };
 
@@ -283,8 +280,11 @@ class CookieVerifier {
 #endif
   };
 
-  /// Looks `id` up in whichever table is active. False when unknown.
+  /// Looks `id` up in the active table. False when unknown.
   bool resolve(CookieId id, Resolved& out);
+  /// After an edit to the own table: bump its epoch so hot entries
+  /// revalidate, and refresh the descriptor gauge if it is active.
+  void owned_changed();
   /// Checks (ii)-(iv) + revocation/expiry against a resolved match.
   VerifyResult verify_resolved(const Resolved& match, const Cookie& cookie,
                                util::Timestamp now);
@@ -296,16 +296,18 @@ class CookieVerifier {
 
   const util::Clock& clock_;
   util::Timestamp nct_;
-  std::unordered_map<CookieId, Entry> table_;
-  /// External-table mode state (set_external_table).
-  const DescriptorTable* external_ = nullptr;
-  bool external_mode_ = false;
-  /// Midstate working set over the external table (mutable: find() is
+  /// The verifier's own table, edited by add_descriptor/revoke/remove
+  /// and never published.
+  DescriptorTable owned_;
+  /// The table resolve() reads: &owned_ until set_external_table, the
+  /// published table (or nullptr) after.
+  const DescriptorTable* table_ = &owned_;
+  /// Midstate working set over the active table (mutable: find() is
   /// logically const but admits records on a cold hit).
   mutable HotTier hot_;
-  /// Verifier-wide use-once memory for external mode (see the class
-  /// comment on replay scope).
-  ReplayCache external_replay_;
+  /// Verifier-wide use-once memory (see the class comment on replay
+  /// scope).
+  ReplayCache replays_;
 #ifndef NDEBUG
   /// Thread currently inside a mutating/verifying member, or default
   /// (empty) id when none. See WriterCheck.
@@ -319,9 +321,8 @@ class CookieVerifier {
   /// timed 1-in-32 so the clock reads can't dominate tiny batches.
   telemetry::Histogram batch_nanos_;
   telemetry::SampleStride burst_sample_{32};
-  /// nnn_state_* cells (external mode): synced from the hot tier and
-  /// replay cache at burst boundaries; sampled probe lengths recorded
-  /// inline by both.
+  /// nnn_state_* cells: synced from the hot tier and replay cache at
+  /// burst boundaries; sampled probe lengths recorded inline by both.
   telemetry::Gauge hot_resident_;
   telemetry::Counter hot_rehydrations_;
   telemetry::Counter hot_evictions_;

@@ -45,6 +45,31 @@ net::FlowKey Middlebox::flow_key_for(const net::Packet& packet) {
   return net::FlowKey::from_cid(flow_table_.resolve_cid(q.dcid));
 }
 
+bool Middlebox::apply_verified(const cookies::CookieDescriptor& descriptor,
+                               cookies::Transport transport,
+                               const net::FlowKey& key, FlowEntry& entry,
+                               util::Timestamp now, Verdict& verdict) {
+  // Transport restriction attribute: a descriptor may pin its
+  // cookies to specific carriers.
+  const auto& attrs = descriptor.attributes;
+  if (!attrs.allows_transport(transport)) {
+    verdict.verify_status = cookies::VerifyStatus::kUnknownId;
+    return false;
+  }
+  if (attrs.granularity == cookies::Granularity::kFlow) {
+    const util::Timestamp mapping_expires =
+        attrs.mapping_ttl ? now + *attrs.mapping_ttl : 0;
+    flow_table_.map_flow(key, descriptor.service_data, now,
+                         attrs.reverse_flow, mapping_expires);
+    entry.state = FlowState::kMapped;
+    entry.service_data = descriptor.service_data;
+  }
+  verdict.mapped_now = true;
+  verdict.service_data = descriptor.service_data;
+  verdict.action = registry_.lookup(descriptor.service_data);
+  return true;
+}
+
 void Middlebox::apply_stack(net::Packet& packet, const net::FlowKey& key,
                             FlowEntry& entry,
                             const cookies::ExtractedCookie& extracted,
@@ -55,31 +80,17 @@ void Middlebox::apply_stack(net::Packet& packet, const net::FlowKey& key,
     const auto result = verifier_.verify(cookie);
     verdict.verify_status = result.status;
     if (!result.ok()) continue;
-    // Transport restriction attribute: a descriptor may pin its
-    // cookies to specific carriers.
-    if (!result.descriptor->attributes.allows_transport(
-            extracted.transport)) {
-      verdict.verify_status = cookies::VerifyStatus::kUnknownId;
+    const cookies::CookieDescriptor& descriptor = *result.descriptor;
+    if (!apply_verified(descriptor, extracted.transport, key, entry, now,
+                        verdict)) {
       continue;
     }
-    const auto& attrs = result.descriptor->attributes;
-    if (attrs.granularity == cookies::Granularity::kFlow) {
-      const util::Timestamp mapping_expires =
-          attrs.mapping_ttl ? now + *attrs.mapping_ttl : 0;
-      flow_table_.map_flow(key, result.descriptor->service_data, now,
-                           attrs.reverse_flow, mapping_expires);
-      entry.state = FlowState::kMapped;
-      entry.service_data = result.descriptor->service_data;
-    }
-    if (config_.delivery_guarantees && attrs.delivery_guarantee) {
+    if (config_.delivery_guarantees &&
+        descriptor.attributes.delivery_guarantee) {
       // The network owes the sender an acknowledgment on the
       // reverse path (§4.3).
-      pending_acks_[packet.tuple.reversed()] =
-          result.descriptor->cookie_id;
+      pending_acks_[packet.tuple.reversed()] = descriptor.cookie_id;
     }
-    verdict.mapped_now = true;
-    verdict.service_data = result.descriptor->service_data;
-    verdict.action = registry_.lookup(result.descriptor->service_data);
     break;
   }
 }
@@ -239,22 +250,8 @@ void Middlebox::flush_pending(std::span<net::Packet* const> packets,
     Verdict verdict;
     verdict.verify_status = result.status;
     if (result.ok()) {
-      if (!result.descriptor->attributes.allows_transport(p.transport)) {
-        verdict.verify_status = cookies::VerifyStatus::kUnknownId;
-      } else {
-        const auto& attrs = result.descriptor->attributes;
-        if (attrs.granularity == cookies::Granularity::kFlow) {
-          const util::Timestamp mapping_expires =
-              attrs.mapping_ttl ? now + *attrs.mapping_ttl : 0;
-          flow_table_.map_flow(p.key, result.descriptor->service_data, now,
-                               attrs.reverse_flow, mapping_expires);
-          p.entry->state = FlowState::kMapped;
-          p.entry->service_data = result.descriptor->service_data;
-        }
-        verdict.mapped_now = true;
-        verdict.service_data = result.descriptor->service_data;
-        verdict.action = registry_.lookup(result.descriptor->service_data);
-      }
+      apply_verified(*result.descriptor, p.transport, p.key, *p.entry, now,
+                     verdict);
     }
     if (!verdict.mapped_now && p.entry->state == FlowState::kMapped) {
       verdict.service_data = p.entry->service_data;

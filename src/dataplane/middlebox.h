@@ -196,6 +196,15 @@ class Middlebox {
                    const cookies::ExtractedCookie& extracted,
                    util::Timestamp now, Verdict& verdict);
 
+  /// Turn a verified cookie's descriptor into the verdict: enforce
+  /// its transport restriction (a disallowed carrier downgrades
+  /// verify_status to kUnknownId and returns false), map the flow at
+  /// flow granularity, and fill service_data/action.
+  bool apply_verified(const cookies::CookieDescriptor& descriptor,
+                      cookies::Transport transport, const net::FlowKey& key,
+                      FlowEntry& entry, util::Timestamp now,
+                      Verdict& verdict);
+
   /// True when `key` (or its reverse) belongs to a packet with a
   /// cookie still pending in the current batch.
   bool key_has_pending(const net::FlowKey& key) const;

@@ -4,7 +4,7 @@
 // "We can use multiple cores instead of one, and similarly add more
 // than one middle-boxes to scale-out the deployment." This pool
 // executes that paragraph: N worker threads, each owning a complete
-// shard (its own CookieVerifier — descriptor table + replay caches —
+// shard (its own CookieVerifier — descriptor table + replay cache —
 // and its own Middlebox with flow table), fed through one SPSC ring
 // per worker in the run-to-completion style of DPDK pipelines.
 // Because a worker's verifier and replay cache are touched by exactly

@@ -860,7 +860,7 @@ TEST(LocalSubscriber, ReplaysHistoryAndFollowsUpdates) {
   EXPECT_TRUE(verifier.knows(3));
   log.append_remove(3);
   EXPECT_FALSE(verifier.knows(3));
-  // A revoke for an id the verifier never saw still lands (stub).
+  // A revoke for an id the verifier never saw still lands (tombstone).
   log.append_revoke(9);
   EXPECT_TRUE(verifier.knows(9));
   EXPECT_EQ(verifier.find(9), nullptr);
