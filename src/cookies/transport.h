@@ -33,12 +33,6 @@
 
 namespace nnn::cookies {
 
-/// Magic prefix for the UDP payload shim. The constant itself is wire
-/// format and lives with the packet model (net::kCookieShimMagic, so
-/// net::Packet::cookie_bytes can find the shim without a cookies
-/// dependency); this alias keeps existing call sites working.
-inline constexpr auto& kUdpShimMagic = net::kCookieShimMagic;
-
 /// Carrier <-> transport mapping: net::Packet::cookie_bytes reports
 /// where it found the blob in packet-model terms; the cookie layer
 /// names the same five carriers Transport.
@@ -64,10 +58,6 @@ bool attach(net::Packet& packet, const Cookie& cookie, Transport transport);
 /// "search for a potential cookie"). Checks carriers from cheapest to
 /// most expensive: IPv6 option, UDP shim, TLS extension, HTTP header.
 std::optional<ExtractedCookie> extract(const net::Packet& packet);
-
-/// Extract from a specific carrier only.
-std::optional<ExtractedCookie> extract(const net::Packet& packet,
-                                       Transport transport);
 
 /// Remove any cookie the packet carries (all carriers). Returns true
 /// if something was removed. Used to model middleboxes that strip

@@ -24,7 +24,10 @@ Middlebox::Middlebox(const util::Clock& clock,
     : Middlebox(clock, verifier, registry, Config{}) {}
 
 Verdict Middlebox::process(net::Packet& packet) {
-  return process_at(packet, clock_.now());
+  net::Packet* const burst[] = {&packet};
+  Verdict verdict;
+  process_batch(burst, std::span<Verdict>(&verdict, 1));
+  return verdict;
 }
 
 net::FlowKey Middlebox::flow_key_for(const net::Packet& packet) {
@@ -95,50 +98,6 @@ void Middlebox::apply_stack(net::Packet& packet, const net::FlowKey& key,
   }
 }
 
-Verdict Middlebox::process_at(net::Packet& packet, util::Timestamp now) {
-  stats_.cell<&MiddleboxStats::packets>().inc();
-  stats_.cell<&MiddleboxStats::bytes>().inc(packet.size());
-
-  const net::FlowKey key = flow_key_for(packet);
-  FlowEntry& entry = *flow_table_.bind(key, packet.size(), now).value().entry;
-  if (packet.is_quic() && packet.quic->long_header) {
-    // Register the server's handshake CID against the entry that now
-    // exists, so reverse-direction short headers resolve to it too.
-    flow_table_.add_alias(packet.quic->dcid, packet.quic->scid);
-  }
-  Verdict verdict;
-
-  const bool inspect =
-      entry.state == FlowState::kSniffing ||
-      (config_.mid_flow_cookies && entry.state != FlowState::kMapped);
-  if (inspect) {
-    // Task (i)/(ii): inspect this packet for a cookie on any carrier.
-    const auto extracted = cookies::extract(packet);
-    if (!extracted) {
-      stats_.cell<&MiddleboxStats::task_search>().inc();
-    } else {
-      stats_.cell<&MiddleboxStats::task_search_and_verify>().inc();
-      apply_stack(packet, key, entry, *extracted, now, verdict);
-    }
-  } else {
-    // Task (iii): established flow, just map.
-    stats_.cell<&MiddleboxStats::task_map_only>().inc();
-  }
-
-  if (!verdict.mapped_now && entry.state == FlowState::kMapped) {
-    verdict.service_data = entry.service_data;
-    verdict.action = registry_.lookup(entry.service_data);
-  }
-
-  if (verdict.action && config_.remark_dscp) {
-    packet.dscp = *config_.remark_dscp;
-  }
-  if (config_.delivery_guarantees && !pending_acks_.empty()) {
-    maybe_attach_ack(packet);
-  }
-  return verdict;
-}
-
 bool Middlebox::key_has_pending(const net::FlowKey& key) const {
   for (const PendingVerify& p : pending_info_) {
     // The pending cookie may map p.key and (reverse_flow attribute, on
@@ -150,26 +109,9 @@ bool Middlebox::key_has_pending(const net::FlowKey& key) const {
   return false;
 }
 
-void Middlebox::process_batch(std::span<net::Packet> packets,
-                              std::span<Verdict> verdicts) {
-  batch_ptrs_.resize(packets.size());
-  for (size_t i = 0; i < packets.size(); ++i) {
-    batch_ptrs_[i] = &packets[i];
-  }
-  process_batch(std::span<net::Packet* const>(batch_ptrs_), verdicts);
-}
-
 void Middlebox::process_batch(std::span<net::Packet* const> packets,
                               std::span<Verdict> verdicts) {
   assert(verdicts.size() >= packets.size());
-  if (config_.delivery_guarantees) {
-    // Ack debts attach to whichever later packet can carry them, an
-    // inherently per-packet interleaving; take the sequential path.
-    for (size_t i = 0; i < packets.size(); ++i) {
-      verdicts[i] = process(*packets[i]);
-    }
-    return;
-  }
   // One clock read per burst (the verifier batches under the same
   // timestamp; see CookieVerifier::verify_batch on why that is sound).
   const util::Timestamp now = clock_.now();
@@ -191,20 +133,23 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
     FlowEntry& entry =
         *flow_table_.bind(key, packet.size(), now).value().entry;
     if (packet.is_quic() && packet.quic->long_header) {
+      // Register the server's handshake CID against the entry that now
+      // exists, so reverse-direction short headers resolve to it too.
       flow_table_.add_alias(packet.quic->dcid, packet.quic->scid);
     }
-    Verdict verdict;
+    Verdict& verdict = verdicts[i] = Verdict{};
 
     const bool inspect =
         entry.state == FlowState::kSniffing ||
         (config_.mid_flow_cookies && entry.state != FlowState::kMapped);
     if (inspect) {
+      // Task (i)/(ii): inspect this packet for a cookie on any carrier.
       const auto extracted = cookies::extract(packet);
       if (!extracted) {
         stats_.cell<&MiddleboxStats::task_search>().inc();
       } else {
         stats_.cell<&MiddleboxStats::task_search_and_verify>().inc();
-        if (extracted->stack.size() == 1) {
+        if (extracted->stack.size() == 1 && !config_.delivery_guarantees) {
           // The common case: defer the MAC into the batched verify.
           // (FlowTable hands out references into a stable slot pool —
           // later inserts rehash only the handle index — and an entry
@@ -217,21 +162,17 @@ void Middlebox::process_batch(std::span<net::Packet* const> packets,
         }
         // Composed stack: entries are tried in order with early exit —
         // inherently sequential. Settle the queue, then run it now.
+        // Delivery-guarantee mode sends every cookie here: apply_stack
+        // records the ack debt before the next packet, which may be
+        // the reverse-path packet that carries the ack.
         flush_pending(packets, verdicts, now);
         apply_stack(packet, key, entry, *extracted, now, verdict);
       }
     } else {
+      // Task (iii): established flow, just map.
       stats_.cell<&MiddleboxStats::task_map_only>().inc();
     }
-
-    if (!verdict.mapped_now && entry.state == FlowState::kMapped) {
-      verdict.service_data = entry.service_data;
-      verdict.action = registry_.lookup(entry.service_data);
-    }
-    if (verdict.action && config_.remark_dscp) {
-      packet.dscp = *config_.remark_dscp;
-    }
-    verdicts[i] = verdict;
+    finish_verdict(packet, entry, verdict);
   }
   flush_pending(packets, verdicts, now);
 }
@@ -247,23 +188,31 @@ void Middlebox::flush_pending(std::span<net::Packet* const> packets,
     const PendingVerify& p = pending_info_[k];
     net::Packet& packet = *packets[p.index];
     const cookies::VerifyResult& result = pending_results_[k];
-    Verdict verdict;
+    Verdict& verdict = verdicts[p.index];  // reset when it was queued
     verdict.verify_status = result.status;
     if (result.ok()) {
       apply_verified(*result.descriptor, p.transport, p.key, *p.entry, now,
                      verdict);
     }
-    if (!verdict.mapped_now && p.entry->state == FlowState::kMapped) {
-      verdict.service_data = p.entry->service_data;
-      verdict.action = registry_.lookup(p.entry->service_data);
-    }
-    if (verdict.action && config_.remark_dscp) {
-      packet.dscp = *config_.remark_dscp;
-    }
-    verdicts[p.index] = verdict;
+    finish_verdict(packet, *p.entry, verdict);
   }
   pending_cookies_.clear();
   pending_info_.clear();
+}
+
+void Middlebox::finish_verdict(net::Packet& packet, const FlowEntry& entry,
+                               Verdict& verdict) {
+  // A packet of an already-mapped flow inherits the flow's mapping.
+  if (!verdict.mapped_now && entry.state == FlowState::kMapped) {
+    verdict.service_data = entry.service_data;
+    verdict.action = registry_.lookup(entry.service_data);
+  }
+  if (verdict.action && config_.remark_dscp) {
+    packet.dscp = *config_.remark_dscp;
+  }
+  if (config_.delivery_guarantees && !pending_acks_.empty()) {
+    maybe_attach_ack(packet);
+  }
 }
 
 void Middlebox::maybe_attach_ack(net::Packet& packet) {

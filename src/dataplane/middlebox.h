@@ -125,28 +125,24 @@ class Middlebox {
   Middlebox(const Middlebox&) = delete;
   Middlebox& operator=(const Middlebox&) = delete;
 
-  /// Process one packet on the forwarding path. May mutate the packet
-  /// (DSCP remark in remark mode).
+  /// Process one packet on the forwarding path: a burst of one through
+  /// process_batch. May mutate the packet (DSCP remark in remark mode;
+  /// an owed ack cookie attached in delivery-guarantee mode).
   Verdict process(net::Packet& packet);
 
   /// Process a burst, filling verdicts[i] for packets[i]
-  /// (verdicts.size() >= packets.size()). Semantically equivalent to
-  /// calling process() on each packet in order — the flow-table and
-  /// replay state machines are order-sensitive, so the batch path
-  /// defers only what is provably independent: single-cookie
-  /// verifications on flows no earlier in-flight cookie can touch.
-  /// Those route through CookieVerifier::verify_batch (one clock read,
-  /// descriptor-grouped MACs); everything else — composed stacks,
-  /// packets whose flow (or its reverse) has a cookie pending, and the
-  /// whole burst when delivery guarantees are on — falls back to the
-  /// sequential path at the right point in the order.
-  void process_batch(std::span<net::Packet> packets,
-                     std::span<Verdict> verdicts);
-
-  /// Indirect-burst form — the primary implementation since the arena
-  /// rework: packets[i] point into a PacketArena (or anywhere stable
-  /// for the call); nothing is moved or copied. The contiguous
-  /// overload above delegates here through a pointer scratch vector.
+  /// (verdicts.size() >= packets.size()); packets[i] point into a
+  /// PacketArena (or anywhere stable for the call), nothing is moved
+  /// or copied. Semantically equivalent to calling process() on each
+  /// packet in order — the flow-table and replay state machines are
+  /// order-sensitive, so the burst defers only what is provably
+  /// independent: single-cookie verifications on flows no earlier
+  /// in-flight cookie can touch. Those route through
+  /// CookieVerifier::verify_batch (one clock read, descriptor-grouped
+  /// MACs); composed stacks, and every cookie when delivery guarantees
+  /// are on, verify inline at their place in the order, and a packet
+  /// whose flow (or its reverse) has a cookie pending settles the
+  /// queue first. Owed ack cookies attach in burst order.
   void process_batch(std::span<net::Packet* const> packets,
                      std::span<Verdict> verdicts);
 
@@ -187,9 +183,6 @@ class Middlebox {
   /// compare equal (key_has_pending depends on that).
   net::FlowKey flow_key_for(const net::Packet& packet);
 
-  /// process() body with the clock read hoisted.
-  Verdict process_at(net::Packet& packet, util::Timestamp now);
-
   /// Apply a verified-cookie stack to a flow entry (the §4.5 loop).
   void apply_stack(net::Packet& packet, const net::FlowKey& key,
                    FlowEntry& entry,
@@ -213,6 +206,14 @@ class Middlebox {
   void flush_pending(std::span<net::Packet* const> packets,
                      std::span<Verdict> verdicts, util::Timestamp now);
 
+  /// The last steps of every packet's verdict, inline or after a
+  /// flush: a packet of a mapped flow inherits the flow's mapping, an
+  /// action remarks DSCP (remark mode), and an owed ack attaches
+  /// (delivery-guarantee mode, which defers nothing, so the flush never
+  /// reaches the ack and its find() cannot stale a pending result).
+  void finish_verdict(net::Packet& packet, const FlowEntry& entry,
+                      Verdict& verdict);
+
   /// Attach an owed ack cookie to a reverse-path packet if possible.
   void maybe_attach_ack(net::Packet& packet);
 
@@ -230,8 +231,6 @@ class Middlebox {
   std::vector<cookies::Cookie> pending_cookies_;
   std::vector<PendingVerify> pending_info_;
   std::vector<cookies::VerifyResult> pending_results_;
-  /// Pointer scratch for the contiguous process_batch overload.
-  std::vector<net::Packet*> batch_ptrs_;
 };
 
 }  // namespace nnn::dataplane

@@ -22,8 +22,8 @@ namespace nnn::net {
 inline constexpr uint8_t kCookieOptionType = 0x1e;
 
 /// Magic prefix of the UDP payload shim carrier (SPUD/QUIC-style).
-/// Wire format, so it lives with the packet model; cookies::transport
-/// aliases it.
+/// Wire format, so it lives with the packet model; cookies::attach
+/// writes it and cookie_bytes finds it.
 inline constexpr uint8_t kCookieShimMagic[4] = {'N', 'C', 'K', 'U'};
 
 /// Where a packet carries its cookie blob. Order is the extraction

@@ -112,9 +112,11 @@ void TcpSyncTransport::handle_readable() {
 }
 
 void TcpSyncTransport::write_datagram(util::Bytes datagram) {
-  if (!connected() || !fd_.valid()) return;  // dropped; client times out
+  if (!fd_.valid()) return;  // no socket: dropped; client times out
+  // While the connect is in flight the datagram waits in outbuf_; the
+  // writable edge that resolves the connect flushes it.
   util::append(outbuf_, util::BytesView(datagram));
-  flush();
+  if (!connecting_) flush();
 }
 
 void TcpSyncTransport::flush() {

@@ -8,9 +8,11 @@
 //   outbound   send_fn() returns a SyncClient::SendFn that posts the
 //              datagram to the loop, where it is written (the sync
 //              envelope already frames it — TCP needs no extra
-//              wrapping). Not connected => the datagram is dropped,
-//              which is exactly the loss the client's timeout/backoff
-//              machinery exists to absorb.
+//              wrapping). While the connect is in flight the
+//              datagram is queued and sent once it resolves; with no
+//              socket at all (between a teardown and the reconnect)
+//              it is dropped, which is exactly the loss the client's
+//              timeout/backoff machinery exists to absorb.
 //   inbound    the loop thread reads the socket, reassembles frames
 //              (net::FrameAssembler), and queues complete datagrams;
 //              the owner drains them on ITS thread with poll(fn),

@@ -253,6 +253,13 @@ TEST_F(MiddleboxTest, ReplayedCookieDoesNotMapSecondFlow) {
   EXPECT_EQ(*verdict.verify_status, cookies::VerifyStatus::kReplayed);
 }
 
+/// The pointer span process_batch takes, over a contiguous burst.
+std::vector<net::Packet*> pointers_to(std::vector<net::Packet>& packets) {
+  std::vector<net::Packet*> out;
+  for (net::Packet& packet : packets) out.push_back(&packet);
+  return out;
+}
+
 TEST_F(MiddleboxTest, ProcessBatchMatchesSequential) {
   // Differential: a mixed burst through process_batch must produce the
   // same verdicts, stats, and flow states as process() one packet at a
@@ -289,7 +296,7 @@ TEST_F(MiddleboxTest, ProcessBatchMatchesSequential) {
   for (auto& packet : copy) expected.push_back(sequential.process(packet));
 
   std::vector<Verdict> batched(burst.size());
-  middlebox_.process_batch(burst, batched);
+  middlebox_.process_batch(pointers_to(burst), batched);
 
   for (size_t i = 0; i < burst.size(); ++i) {
     EXPECT_EQ(batched[i].action.has_value(), expected[i].action.has_value())
@@ -328,7 +335,7 @@ TEST_F(MiddleboxTest, ProcessBatchRemarksDscp) {
   burst.push_back(flow_packet(5100));
   burst.push_back(flow_packet(5101));  // unmapped: untouched dscp
   std::vector<Verdict> verdicts(burst.size());
-  box.process_batch(burst, verdicts);
+  box.process_batch(pointers_to(burst), verdicts);
   EXPECT_EQ(burst[0].dscp, 46);
   EXPECT_EQ(burst[1].dscp, 46);
   EXPECT_EQ(burst[2].dscp, 0);

@@ -4,12 +4,15 @@
 // tested through runtime::Dataplane in test_runtime.cpp.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cookies/ack_monitor.h"
 #include "cookies/generator.h"
 #include "cookies/transport.h"
 #include "dataplane/hw_filter.h"
 #include "dataplane/middlebox.h"
 #include "net/http.h"
+#include "net/wire.h"
 #include "server/compliance.h"
 #include "util/clock.h"
 
@@ -136,6 +139,71 @@ TEST_F(DeliveryGuaranteeTest, AckDebtSurvivesUncarryablePackets) {
   middlebox_->process(udp_response);
   EXPECT_TRUE(cookies::extract(udp_response).has_value());
   EXPECT_EQ(middlebox_->pending_acks(), 0u);
+}
+
+TEST_F(DeliveryGuaranteeTest, BurstMatchesOnePacketAtATime) {
+  // Delivery-guarantee mode through process_batch: the ack debt a
+  // cookie records must attach to the first reverse packet that can
+  // carry it later in the SAME burst, exactly as with one process()
+  // per packet. Both boxes share ack_seed, so they mint the same ack.
+  cookies::CookieVerifier verifier_seq(clock_);
+  verifier_seq.add_descriptor(descriptor_);
+  dataplane::Middlebox::Config config;
+  config.delivery_guarantees = true;
+  dataplane::Middlebox sequential(clock_, verifier_seq, registry_, config);
+
+  cookies::CookieGenerator generator(descriptor_, clock_, 11);
+  std::vector<net::Packet> burst;
+  burst.push_back(cookie_udp_packet(45004, generator.generate()));
+  // Reverse addresses over TCP: not the flow that owes the ack, so
+  // the debt must survive it untouched.
+  net::Packet tcp_response;
+  tcp_response.tuple = burst[0].tuple.reversed();
+  tcp_response.tuple.proto = net::L4Proto::kTcp;
+  tcp_response.payload = {0x16, 0x03};
+  burst.push_back(tcp_response);
+  net::Packet udp_response;  // reverse, carries the ack
+  udp_response.tuple = burst[0].tuple.reversed();
+  udp_response.payload = {0x01};
+  burst.push_back(udp_response);
+  net::Packet unrelated;
+  unrelated.tuple = burst[0].tuple;
+  unrelated.tuple.src_port = 45005;
+  unrelated.payload = {0x02};
+  burst.push_back(unrelated);
+
+  std::vector<net::Packet> copy = burst;
+  std::vector<dataplane::Verdict> expected;
+  for (net::Packet& packet : copy) {
+    expected.push_back(sequential.process(packet));
+  }
+
+  std::vector<net::Packet*> pointers;
+  for (net::Packet& packet : burst) pointers.push_back(&packet);
+  std::vector<dataplane::Verdict> batched(burst.size());
+  middlebox_->process_batch(pointers, batched);
+
+  for (size_t i = 0; i < burst.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(batched[i].action.has_value(), expected[i].action.has_value());
+    EXPECT_EQ(batched[i].service_data, expected[i].service_data);
+    EXPECT_EQ(batched[i].mapped_now, expected[i].mapped_now);
+    EXPECT_EQ(batched[i].verify_status, expected[i].verify_status);
+  }
+  EXPECT_TRUE(batched[0].mapped_now);
+  EXPECT_EQ(middlebox_->pending_acks(), sequential.pending_acks());
+  EXPECT_EQ(middlebox_->pending_acks(), 0u);
+
+  // The reverse packets come out byte-identical: the TCP one without
+  // a cookie, the UDP one carrying the same ack cookie.
+  for (size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(net::serialize(burst[i]), net::serialize(copy[i]))
+        << "packet " << i;
+  }
+  EXPECT_FALSE(cookies::extract(burst[1]).has_value());
+  const auto ack = cookies::extract(burst[2]);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->stack, cookies::extract(copy[2])->stack);
 }
 
 TEST(AckMonitor, IgnoresWrongDescriptorAndWrongFlow) {

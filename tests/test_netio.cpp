@@ -356,6 +356,54 @@ TEST(NetioSync, ClientConvergesOverTcp) {
   driver.stop();
 }
 
+TEST(NetioSync, FirstPollSentWhileConnectingIsNotLost) {
+  // The client's first poll is posted before the loop has resolved the
+  // non-blocking connect (both posts are queued before the loop thread
+  // starts). The transport must hold the datagram until the connect
+  // completes, so the client converges on its first request with no
+  // response timeout and no retry.
+  telemetry::Registry registry;
+  util::SystemClock clock;
+  netio::EventLoop loop(clock);
+
+  controlplane::DescriptorLog log;
+  for (uint64_t i = 1; i <= 5; ++i) {
+    cookies::CookieDescriptor d;
+    d.cookie_id = i;
+    d.key.assign(32, static_cast<uint8_t>(i));
+    log.append_add(std::move(d));
+  }
+  controlplane::SyncServer server(log);
+  auto tcp = netio::TcpServer::create(loop, {}, netio::sync_protocol(server),
+                                      nullptr, registry);
+  ASSERT_TRUE(tcp.has_value());
+
+  netio::TcpSyncTransport::Config tconfig;
+  tconfig.port = (*tcp)->port();
+  netio::TcpSyncTransport transport(loop, tconfig);
+
+  controlplane::TablePublisher tables;
+  controlplane::SyncClient::Config cconfig;
+  cconfig.client_id = 43;
+  // Far above a loopback round trip: a retry here can only mean the
+  // first request was lost.
+  cconfig.response_timeout = 2 * kSecond;
+  controlplane::SyncClient client(clock, tables, cconfig,
+                                  transport.send_fn());
+  client.start();  // queued behind the transport's connect
+
+  LoopThread driver(loop);
+  const bool converged = wait_for([&] {
+    transport.poll([&](util::BytesView d) { client.on_datagram(d); });
+    client.tick();
+    return client.applied_version() == log.version();
+  });
+  EXPECT_TRUE(converged) << "applied=" << client.applied_version()
+                         << " server=" << log.version();
+  EXPECT_EQ(client.retries(), 0u);
+  driver.stop();
+}
+
 TEST(NetioSync, MalformedFrameClosesConnection) {
   telemetry::Registry registry;
   util::SystemClock clock;

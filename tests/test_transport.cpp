@@ -241,8 +241,9 @@ TEST_F(TransportTest, StackOfCookiesRoundTripsOnEveryCarrier) {
   cases.push_back({tcp_packet(), Transport::kTcpOption});
   for (auto& [packet, transport] : cases) {
     ASSERT_TRUE(attach(packet, stack, transport));
-    const auto extracted = extract(packet, transport);
+    const auto extracted = extract(packet);
     ASSERT_TRUE(extracted.has_value());
+    EXPECT_EQ(extracted->transport, transport);
     EXPECT_EQ(extracted->stack, stack);
   }
 }
