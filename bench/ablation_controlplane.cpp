@@ -1,11 +1,17 @@
 // Control-plane ablation: how fast does descriptor state propagate,
 // and what does an epoch table swap cost the verify hot path?
 //
-// Part 1 — propagation latency (simulated): a SyncClient polls a
-// SyncServer over impaired sim::Links (loss + jitter). For each
+// Part 1 — propagation latency (simulated): a SyncServer pushes each
+// log change to a SyncClient over impaired sim::Links (loss + jitter),
+// and the client's 100 ms poll recovers what the links drop. For each
 // revocation we measure sim time from append_revoke() to the version
 // landing in the client's published table. Loss pushes the tail out
-// through timeout/backoff cycles; the table quantifies it.
+// through poll and timeout/backoff cycles; the table quantifies it.
+//
+// Part 1b — publish cost (real time): one update applied to a
+// TableMirror of N descriptors, then build() + TablePublisher::publish,
+// against a copy of the flat record array and index that build() made
+// before the store was sharded, timed in the same run.
 //
 // Part 2 — swap overhead (real threads): a runtime::Dataplane verifies a
 // cookie workload while a control thread republishes the descriptor
@@ -15,7 +21,9 @@
 // protocol is two uncontended seq_cst ops per 32-packet burst.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -31,6 +39,7 @@
 #include "runtime/dataplane.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
+#include "state/flat_table.h"
 #include "util/clock.h"
 #include "workload/packet_gen.h"
 
@@ -76,9 +85,18 @@ PropagationResult run_propagation(double loss_rate, size_t revocations) {
   nnn::sim::Link to_client(loop, impaired, [&](nnn::net::Packet p) {
     client_ptr->on_datagram(nnn::util::BytesView(p.payload));
   });
+  // Pushes share the response link (and its loss) with poll replies.
+  const uint64_t channel = server.open_channel(
+      {[&](std::function<void()> task) { loop.after(0, std::move(task)); },
+       [&](nnn::util::Bytes push) {
+         nnn::net::Packet p;
+         p.payload = std::move(push);
+         to_client.send(std::move(p));
+       }});
   impaired.impairment_seed = 0xc1;
   nnn::sim::Link to_server(loop, impaired, [&](nnn::net::Packet p) {
-    if (auto reply = server.handle(nnn::util::BytesView(p.payload))) {
+    if (auto reply =
+            server.handle(nnn::util::BytesView(p.payload), channel)) {
       nnn::net::Packet r;
       r.payload = std::move(*reply);
       to_client.send(std::move(r));
@@ -135,6 +153,81 @@ PropagationResult run_propagation(double loss_rate, size_t revocations) {
   r.max_ms = latencies_ms.back();
   r.retries = client.retries();
   r.dropped = to_server.dropped() + to_client.dropped();
+  return r;
+}
+
+// --- Part 1b: publish cost, one update vs the flat store copy -------
+
+struct PublishResult {
+  size_t descriptors = 0;
+  double publish_us = 0;    // median: apply one update, build, publish
+  double full_copy_us = 0;  // median: copy of the flat records + index
+};
+
+template <class Fn>
+double median_us(int reps, Fn&& fn) {
+  std::vector<double> us;
+  us.reserve(static_cast<size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+  }
+  std::sort(us.begin(), us.end());
+  return us[us.size() / 2];
+}
+
+PublishResult run_publish(size_t descriptors) {
+  std::vector<nnn::cookies::CookieDescriptor> live;
+  live.reserve(descriptors);
+  for (size_t i = 1; i <= descriptors; ++i) {
+    live.push_back(bench_descriptor(static_cast<nnn::cookies::CookieId>(i)));
+  }
+  nnn::controlplane::TableMirror mirror;
+  mirror.reset(1, live, {});
+  nnn::controlplane::TablePublisher tables;
+  tables.publish(mirror.build());
+
+  PublishResult r;
+  r.descriptors = descriptors;
+  uint64_t version = 1;
+  nnn::cookies::CookieId next = 1;
+  r.publish_us = median_us(101, [&] {
+    nnn::controlplane::Update update;
+    update.version = ++version;
+    update.op = (version % 2 == 0) ? nnn::controlplane::UpdateOp::kRevoke
+                                   : nnn::controlplane::UpdateOp::kAdd;
+    update.id = next;
+    update.descriptor = live[next - 1];
+    if (update.op == nnn::controlplane::UpdateOp::kAdd) {
+      next = next % descriptors + 1;
+    }
+    mirror.apply(update);
+    tables.publish(mirror.build());
+  });
+
+  // The unsharded store's build(): one dense record array plus its
+  // open-addressing index, copied whole on every publish.
+  using Record = nnn::cookies::DescriptorStore::Record;
+  std::vector<Record> records;
+  records.reserve(descriptors);
+  mirror.build()->store().for_each(
+      [&](const Record& record) { records.push_back(record); });
+  nnn::state::FlatTable<uint32_t> index;
+  const auto hasher = [&](const uint32_t& slot) {
+    return nnn::state::mix_hash(records[slot].id);
+  };
+  for (uint32_t slot = 0; slot < records.size(); ++slot) {
+    index.find_or_insert(
+        hasher(slot), [](const uint32_t&) { return false; }, hasher,
+        [slot] { return slot; });
+  }
+  r.full_copy_us = median_us(11, [&] {
+    const std::vector<Record> records_copy = records;
+    const nnn::state::FlatTable<uint32_t> index_copy = index;
+    if (records_copy.size() != index_copy.size()) std::abort();
+  });
   return r;
 }
 
@@ -237,7 +330,7 @@ int main(int argc, char** argv) {
   std::vector<nnn::bench::BenchRecord> records;
 
   std::printf("=== Control plane: revocation propagation latency ===\n");
-  std::printf("snapshot/delta sync over sim links (20 ms RTT, 2 ms "
+  std::printf("push + snapshot/delta sync over sim links (20 ms RTT, 2 ms "
               "jitter), 100 ms poll,\n250 ms timeout, %zu revocations "
               "measured per loss rate\n\n",
               revocations);
@@ -260,6 +353,27 @@ int main(int argc, char** argv) {
     // One "op" is one revocation reaching the enforcement point.
     rec.ns_per_op = r.mean_ms * 1e6;
     rec.ops_per_sec = r.mean_ms > 0 ? 1e3 / r.mean_ms : 0;
+    records.push_back(std::move(rec));
+  }
+
+  std::printf("\n=== Publish cost: one update vs a flat store copy ===\n");
+  std::printf("%-12s %16s %16s %8s\n", "descriptors", "publish us",
+              "full copy us", "ratio");
+  for (const size_t n : {size_t{10'000}, size_t{262'144}}) {
+    const PublishResult r = run_publish(n);
+    const double ratio = r.full_copy_us > 0 ? r.publish_us / r.full_copy_us : 0;
+    std::printf("%-12zu %16.1f %16.1f %8.3f\n", n, r.publish_us,
+                r.full_copy_us, ratio);
+    nnn::bench::BenchRecord rec;
+    rec.name = "controlplane/publish/n=" + std::to_string(n);
+    rec.config["descriptors"] = static_cast<int64_t>(n);
+    rec.config["shards"] =
+        static_cast<int64_t>(nnn::cookies::DescriptorStore::kShardCount);
+    rec.config["full_copy_us"] = r.full_copy_us;
+    rec.config["ratio_to_full_copy"] = ratio;
+    // One "op" is one single-update publish (apply + build + swap).
+    rec.ns_per_op = r.publish_us * 1e3;
+    rec.ops_per_sec = r.publish_us > 0 ? 1e6 / r.publish_us : 0;
     records.push_back(std::move(rec));
   }
 

@@ -16,8 +16,9 @@
 //                            midstates for the working set, tail hits
 //                            pay rehydration.
 //                            Acceptance: within 5% of local baseline.
-//   state/verify/epoch_churn — same stream while the table epoch flips
-//                            every 64 Ki packets, forcing hot-tier
+//   state/verify/epoch_churn — same stream while the verifier flips
+//                            every 64 Ki packets between two tables
+//                            that share no shard, forcing hot-tier
 //                            revalidation sweeps.
 //   state/replay/insert    — M uuids through the wheel-based
 //                            ReplayCache at a rate that keeps the
@@ -121,7 +122,7 @@ int main(int argc, char** argv) {
     const double bytes_per =
         static_cast<double>(store.memory_bytes()) /
         static_cast<double>(store.size());
-    const auto probes = store.probe_stats(4096);
+    const auto probes = store.stats().probes;
     std::printf("table/build    %9.1f ns/descriptor  %6.1f B/descriptor  "
                 "probe p99 %u  rss %.1f MB\n",
                 ns / static_cast<double>(descriptors), bytes_per,
@@ -295,7 +296,18 @@ int main(int argc, char** argv) {
 
   // --- Phase 4: epoch churn — revalidation sweeps under table swaps -
   {
-    nnn::cookies::DescriptorTable shadow(1, store);
+    // Rebuilt rather than copied: a copy would share every shard with
+    // `table`, and a flip between tables with identical shard stamps
+    // revalidates nothing. A rebuild shares none, so each flip forces
+    // the full sweep a snapshot would (a one-update delta restamps one
+    // shard of DescriptorStore::kShardCount).
+    nnn::cookies::DescriptorStore rebuilt;
+    rebuilt.reserve(descriptors);
+    for (nnn::cookies::CookieId id = 1;
+         id <= static_cast<nnn::cookies::CookieId>(descriptors); ++id) {
+      rebuilt.upsert(bench_descriptor(id));
+    }
+    nnn::cookies::DescriptorTable shadow(1, std::move(rebuilt));
     nnn::util::Rng shuffle_rng(0x5EED);
     const nnn::workload::ZipfAccess access(descriptors, 1.4, shuffle_rng);
     nnn::util::Rng rng(0xC4A2);

@@ -106,12 +106,12 @@ std::optional<std::vector<Update>> DescriptorLog::delta_since(
   const std::lock_guard<std::mutex> lock(mutex_);
   if (from > version_) return std::nullopt;  // future version: nonsense
   if (from < tail_start_version_) return std::nullopt;  // compacted away
-  std::vector<Update> out;
-  out.reserve(static_cast<size_t>(version_ - from));
-  for (const Update& update : updates_) {
-    if (update.version > from) out.push_back(update);
-  }
-  return out;
+  // updates_ holds versions (tail_start_version_, version_] densely,
+  // so the first update after `from` sits at a fixed offset: the copy
+  // costs the delta, not the retained tail.
+  const auto first = updates_.begin() +
+                     static_cast<std::ptrdiff_t>(from - tail_start_version_);
+  return std::vector<Update>(first, updates_.end());
 }
 
 void DescriptorLog::compact(size_t keep_updates) {

@@ -36,7 +36,7 @@ void TablePublisher::collect(telemetry::SampleBuilder& builder) const {
                 "Published table index occupancy in percent", {},
                 table_load_pct_.value());
   builder.gauge("nnn_state_descriptor_probe_p99",
-                "p99 sampled probe length (group steps) in the published "
+                "p99 probe length (group steps) in the published "
                 "table index",
                 {}, table_probe_p99_.value());
 }
@@ -51,12 +51,11 @@ void TablePublisher::publish(std::unique_ptr<cookies::DescriptorTable> table) {
   const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   table->set_epoch(epoch);
   table_version_.set(static_cast<int64_t>(table->version()));
-  const cookies::DescriptorStore& store = table->store();
-  table_entries_.set(static_cast<int64_t>(store.size()));
-  table_bytes_.set(static_cast<int64_t>(store.memory_bytes()));
-  table_load_pct_.set(static_cast<int64_t>(store.index_load_pct()));
-  table_probe_p99_.set(
-      static_cast<int64_t>(store.probe_stats(4096).p99));
+  const cookies::DescriptorStore::Stats stats = table->store().stats();
+  table_entries_.set(static_cast<int64_t>(stats.entries));
+  table_bytes_.set(static_cast<int64_t>(stats.bytes));
+  table_load_pct_.set(static_cast<int64_t>(stats.load_pct));
+  table_probe_p99_.set(static_cast<int64_t>(stats.probes.p99));
   const cookies::DescriptorTable* raw = table.get();
   // seq_cst store pairs with the readers' announce/revalidate loop.
   current_.store(raw, std::memory_order_seq_cst);

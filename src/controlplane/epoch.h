@@ -142,8 +142,8 @@ class TablePublisher {
   telemetry::Gauge retired_gauge_;
   telemetry::Gauge table_version_;
   /// Published-table state gauges, computed on the control thread in
-  /// publish() just before the swap (a sampled probe scan over the
-  /// store — off the hot path by construction).
+  /// publish() just before the swap from the store's per-shard caches
+  /// (only shards written since the last publish are re-scanned).
   telemetry::Gauge table_entries_;
   telemetry::Gauge table_bytes_;
   telemetry::Gauge table_load_pct_;

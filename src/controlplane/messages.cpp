@@ -149,8 +149,10 @@ Expected<Message> decode_payload(MessageType type, BytesView payload) {
       }
       return Message{std::move(m)};
     }
-    case MessageType::kDelta: {
+    case MessageType::kDelta:
+    case MessageType::kPush: {
       DeltaMessage m;
+      m.pushed = type == MessageType::kPush;
       const auto from_version = r.u64();
       const auto to_version = r.u64();
       const auto count = r.u32();
@@ -288,7 +290,7 @@ util::Bytes encode(const Message& message) {
         } else if constexpr (std::is_same_v<T, SnapshotMessage>) {
           type = MessageType::kSnapshot;
         } else if constexpr (std::is_same_v<T, DeltaMessage>) {
-          type = MessageType::kDelta;
+          type = m.pushed ? MessageType::kPush : MessageType::kDelta;
         } else {
           type = MessageType::kHeartbeat;
         }
@@ -307,7 +309,7 @@ Expected<Message> decode_message(ByteReader& r) {
     // Envelope failures keep their wire-domain Error (already tallied).
     if (!frame) return unexpected(frame.error());
     if (frame->type < static_cast<uint8_t>(MessageType::kSyncRequest) ||
-        frame->type > static_cast<uint8_t>(MessageType::kHeartbeat)) {
+        frame->type > static_cast<uint8_t>(MessageType::kPush)) {
       continue;  // unknown type: envelope told us how far to skip
     }
     return decode_payload(static_cast<MessageType>(frame->type),

@@ -9,11 +9,16 @@
 //   Heartbeat    server -> client   "V is current, nothing changed"
 //   Delta        server -> client   ordered updates (V, V']
 //   Snapshot     server -> client   the full table at version V'
+//   Push         server -> client   a Delta sent on a log change, not
+//                                   in answer to a request
 //
 // Each message rides in one net::SyncFrame (see net/wire.h); the frame
 // envelope carries the type byte and payload length, so a decoder can
 // skip message types it does not know — newer servers can speak to
-// older middleboxes. Decoding is defensive in the repo's wire idiom:
+// older middleboxes. That is how push rides the protocol: a Push frame
+// is a Delta the server sent unasked (see sync_server.h), and a
+// middlebox that predates it skips the frame and keeps polling.
+// Decoding is defensive in the repo's wire idiom:
 // truncation or a malformed known payload yields a typed Error
 // (domain kMessages for payload problems, kWire for envelope
 // problems), never UB.
@@ -36,6 +41,7 @@ enum class MessageType : uint8_t {
   kSnapshot = 2,
   kDelta = 3,
   kHeartbeat = 4,
+  kPush = 5,  // a DeltaMessage with pushed = true
 };
 
 /// Client poll: who is asking and how far they have applied. Version 0
@@ -63,11 +69,14 @@ struct SnapshotMessage {
 /// Ordered updates in (from_version, to_version]. A client applies a
 /// delta only when from_version equals its applied version; otherwise
 /// it re-polls (the server falls back to a snapshot for gaps it has
-/// compacted away).
+/// compacted away). `pushed` marks a delta the server sent on a log
+/// change rather than in answer to a poll; on the wire it is the frame
+/// type (kPush instead of kDelta), with the same payload.
 struct DeltaMessage {
   uint64_t from_version = 0;
   uint64_t to_version = 0;
   std::vector<Update> updates;
+  bool pushed = false;
 
   friend bool operator==(const DeltaMessage&, const DeltaMessage&) = default;
 };

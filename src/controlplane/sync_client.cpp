@@ -40,6 +40,9 @@ void SyncClient::collect(telemetry::SampleBuilder& builder) const {
   builder.counter("nnn_controlplane_deltas_applied_total",
                   "Incremental deltas applied", labels,
                   deltas_applied_.value());
+  builder.counter("nnn_controlplane_pushes_received_total",
+                  "Pushed deltas received (applied or not)", labels,
+                  pushes_received_.value());
   builder.counter("nnn_controlplane_breaker_opens_total",
                   "Times the sync circuit breaker tripped open", labels,
                   breaker_opens_.value());
@@ -137,16 +140,20 @@ void SyncClient::on_success(util::Timestamp now) {
       consecutive_failures_ = 0;
     }
   }
-  version_lag_.set(static_cast<int64_t>(
-      server_version_ > mirror_.version()
-          ? server_version_ - mirror_.version()
-          : 0));
+  update_lag();
   // Behind the server (a delta gap forced a re-poll, or a heartbeat
   // reported a newer version): catch up immediately instead of waiting
   // out a poll interval.
   next_poll_ = server_version_ > mirror_.version()
                    ? now
                    : now + with_jitter(config_.poll_interval);
+}
+
+void SyncClient::update_lag() {
+  version_lag_.set(static_cast<int64_t>(
+      server_version_ > mirror_.version()
+          ? server_version_ - mirror_.version()
+          : 0));
 }
 
 void SyncClient::on_failure(util::Timestamp now) {
@@ -225,6 +232,7 @@ void SyncClient::on_datagram(util::BytesView datagram) {
   }
   if (const auto* delta = std::get_if<DeltaMessage>(&*message)) {
     server_version_ = std::max(server_version_, delta->to_version);
+    const bool gap = delta->from_version > mirror_.version();
     if (delta->from_version == mirror_.version()) {
       bool changed = false;
       for (const Update& update : delta->updates) {
@@ -232,6 +240,19 @@ void SyncClient::on_datagram(util::BytesView datagram) {
       }
       if (changed) publish();
       deltas_applied_.inc();
+    }
+    if (delta->pushed) {
+      // A push is not an answer: the poll in flight (if any) stays in
+      // flight, and the heartbeat keeps its cadence. A gap means an
+      // earlier push was lost: re-poll now instead of waiting out the
+      // interval (a poll in flight already covers it — its answer
+      // re-polls while the server is ahead).
+      pushes_received_.inc();
+      update_lag();
+      if (gap && !awaiting_response_ && breaker_ == BreakerState::kClosed) {
+        send_request(now);
+      }
+      return;
     }
     // from_version > applied: a gap (a response for a poll we since
     // superseded). from_version < applied: a duplicate. Either way the

@@ -3,7 +3,13 @@
 // The client owns the pull loop: poll the server at a steady interval,
 // apply whatever comes back (snapshot -> mirror reset, delta -> mirror
 // apply, heartbeat -> freshness only), and publish a rebuilt table
-// through the TablePublisher whenever the mirror changed. Transport is
+// through the TablePublisher whenever the mirror changed. A server
+// that pushes (sync_server.h) also sends unasked Deltas on each log
+// change; they apply through the same from_version check, but they
+// are not answers: a push leaves the request in flight, the RTT
+// histogram and the poll schedule alone, and a push that reveals a gap
+// (an earlier one was lost) triggers an immediate re-poll. The poll
+// remains the heartbeat, the lag report and the recovery path. Transport is
 // a callback (send one request datagram); responses come back through
 // on_datagram(). The loop is driven by tick(now) — callers (sim event
 // loops, a thread, an example's main) decide the cadence, the client
@@ -140,6 +146,7 @@ class SyncClient {
   uint64_t server_version() const { return server_version_; }
   bool stale() const { return stale_; }
   uint64_t retries() const { return retries_.value(); }
+  uint64_t pushes_received() const { return pushes_received_.value(); }
   BreakerState breaker_state() const { return breaker_; }
   uint32_t consecutive_failures() const { return consecutive_failures_; }
   /// True from a successful restore() until the first live exchange.
@@ -152,6 +159,7 @@ class SyncClient {
   void send_request(util::Timestamp now);
   void on_success(util::Timestamp now);
   void on_failure(util::Timestamp now);
+  void update_lag();
   void publish();
   util::Timestamp current_backoff() const;
   util::Timestamp with_jitter(util::Timestamp base);
@@ -186,6 +194,7 @@ class SyncClient {
   telemetry::Counter retries_;
   telemetry::Counter snapshots_applied_;
   telemetry::Counter deltas_applied_;
+  telemetry::Counter pushes_received_;
   telemetry::Counter breaker_opens_;
   telemetry::Counter restores_;
   telemetry::Histogram sync_rtt_micros_;

@@ -3,10 +3,13 @@
 // A SyncClient feeds snapshots and deltas into a TableMirror; build()
 // materializes an immutable cookies::DescriptorTable ready for
 // TablePublisher. The mirror keeps state in a cookies::DescriptorStore
-// — compact 64-byte records behind an open-addressing index, profiles
+// — compact 64-byte records behind open-addressing indexes, profiles
 // interned — so a million-descriptor mirror costs table bytes, not
-// materialized descriptors, and build() is a store copy rather than a
-// rehash. HMAC key schedules are NOT precomputed here anymore: they
+// materialized descriptors. The store is sharded copy-on-write:
+// build() shares every shard with the new table (a pointer copy per
+// shard), and the next apply() clones only the shard it writes, so a
+// publish costs the delta, not the table. HMAC key schedules are NOT
+// precomputed here anymore: they
 // are a verifier-local working set (cookies::HotTier) built lazily for
 // descriptors traffic actually hits. The mirror itself is plain
 // single-threaded state owned by the client's control thread.
@@ -44,8 +47,9 @@ class TableMirror {
   std::vector<cookies::CookieDescriptor> live() const;
   std::vector<cookies::CookieId> revoked() const;
 
-  /// Materialize the current state as an immutable table (copies the
-  /// compact store, not N descriptors).
+  /// Materialize the current state as an immutable table that shares
+  /// the mirror's shards (O(DescriptorStore::kShardCount), independent
+  /// of the table size).
   std::unique_ptr<cookies::DescriptorTable> build() const;
 
  private:

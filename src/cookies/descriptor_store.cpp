@@ -1,14 +1,67 @@
 #include "cookies/descriptor_store.h"
 
+#include <atomic>
 #include <cstring>
 #include <utility>
 
 namespace nnn::cookies {
 
+namespace {
+
+/// Process-wide so a stamp names one shard version in any store: a
+/// verifier switching tables can never match a stale entry by accident.
+std::atomic<uint64_t> next_shard_stamp{1};
+
+}  // namespace
+
+DescriptorStore::DescriptorStore() { clear(); }
+
+void DescriptorStore::clear() {
+  // Every store starts on the same immutable empty shard and profile
+  // set (stamp 0, gauges precomputed): construction allocates nothing,
+  // and the first write to a shard clones it like any shared shard.
+  static const std::shared_ptr<Shard> empty_shard = [] {
+    auto shard = std::make_shared<Shard>();
+    shard->stats_fresh = true;
+    shard->bytes = sizeof(Shard);
+    return shard;
+  }();
+  static const std::shared_ptr<Profiles> empty_profiles =
+      std::make_shared<Profiles>();
+  shards_.fill(empty_shard);
+  profiles_ = empty_profiles;
+  size_ = 0;
+}
+
+void DescriptorStore::reserve(size_t n) {
+  // Spread evenly, with headroom for the binomial spread across shards
+  // so a bulk load does not rehash each index on the way up.
+  const size_t per_shard = n / kShardCount;
+  if (per_shard == 0) return;
+  const size_t target = per_shard + per_shard / 8 + 4;
+  for (size_t i = 0; i < kShardCount; ++i) {
+    Shard& shard = write_shard(static_cast<uint64_t>(i) << (64 - kShardBits));
+    shard.records.reserve(target);
+    shard.index.reserve(target, shard.hasher());
+  }
+}
+
+DescriptorStore::Shard& DescriptorStore::write_shard(uint64_t hash) {
+  std::shared_ptr<Shard>& shard = shards_[shard_of(hash)];
+  // use_count is exact here: only the store's owning thread copies or
+  // drops references to the store's shards.
+  if (shard.use_count() != 1) shard = std::make_shared<Shard>(*shard);
+  shard->stamp = next_shard_stamp.fetch_add(1, std::memory_order_relaxed);
+  shard->stats_fresh = false;
+  return *shard;
+}
+
 void DescriptorStore::upsert(const CookieDescriptor& descriptor) {
-  Record& record = insert_record(descriptor.cookie_id);
-  set_key(record, util::BytesView(descriptor.key));
-  record.profile = intern_profile(descriptor);
+  const uint32_t profile = intern_profile(descriptor);
+  Shard& shard = write_shard(hash_id(descriptor.cookie_id));
+  Record& record = insert_record(shard, descriptor.cookie_id);
+  set_key(shard, record, util::BytesView(descriptor.key));
+  record.profile = profile;
   if (descriptor.attributes.expires_at.has_value()) {
     record.has_expiry = true;
     record.expires_at = *descriptor.attributes.expires_at;
@@ -20,46 +73,53 @@ void DescriptorStore::upsert(const CookieDescriptor& descriptor) {
 }
 
 void DescriptorStore::revoke(CookieId id) {
-  if (Record* record = find_mut(id)) {
+  Shard& shard = write_shard(hash_id(id));
+  if (Record* record = find_mut(shard, id)) {
     record->revoked = true;
     return;
   }
   // Revoke-before-sync tombstone: no key, no profile — the id just
   // verifies as revoked rather than unknown.
-  insert_record(id).revoked = true;
+  insert_record(shard, id).revoked = true;
 }
 
 bool DescriptorStore::erase(CookieId id) {
-  uint32_t* slot_entry = index_.find(hash_id(id), index_matcher(id));
-  if (slot_entry == nullptr) return false;
+  const uint64_t hash = hash_id(id);
+  if (find(id) == nullptr) return false;  // absent: leave the shard shared
+  Shard& shard = write_shard(hash);
+  uint32_t* slot_entry = shard.index.find(hash, shard.matcher(id));
   const uint32_t slot = *slot_entry;
-  release_spill(records_[slot]);
-  index_.erase_element(slot_entry);
-  const uint32_t last = static_cast<uint32_t>(records_.size() - 1);
+  release_spill(shard, shard.records[slot]);
+  shard.index.erase_element(slot_entry);
+  const uint32_t last = static_cast<uint32_t>(shard.records.size() - 1);
   if (slot != last) {
-    records_[slot] = std::move(records_[last]);
+    shard.records[slot] = std::move(shard.records[last]);
     // Re-point the moved record's index entry at its new slot.
-    uint32_t* moved = index_.find(hash_id(records_[slot].id),
-                                  index_matcher(records_[slot].id));
-    *moved = slot;
+    const CookieId moved_id = shard.records[slot].id;
+    *shard.index.find(hash_id(moved_id), shard.matcher(moved_id)) = slot;
   }
-  records_.pop_back();
+  shard.records.pop_back();
+  --size_;
   return true;
 }
 
 const DescriptorStore::Record* DescriptorStore::find(CookieId id) const {
-  const uint32_t* slot = index_.find(hash_id(id), index_matcher(id));
-  return slot == nullptr ? nullptr : &records_[*slot];
+  const uint64_t hash = hash_id(id);
+  const Shard& shard = *shards_[shard_of(hash)];
+  const uint32_t* slot = shard.index.find(hash, shard.matcher(id));
+  return slot == nullptr ? nullptr : &shard.records[*slot];
 }
 
-DescriptorStore::Record* DescriptorStore::find_mut(CookieId id) {
-  uint32_t* slot = index_.find(hash_id(id), index_matcher(id));
-  return slot == nullptr ? nullptr : &records_[*slot];
+DescriptorStore::Record* DescriptorStore::find_mut(Shard& shard,
+                                                   CookieId id) {
+  uint32_t* slot = shard.index.find(hash_id(id), shard.matcher(id));
+  return slot == nullptr ? nullptr : &shard.records[*slot];
 }
 
 util::BytesView DescriptorStore::key_of(const Record& record) const {
   if (record.spill != kNoSpill) {
-    return util::BytesView(spill_keys_[record.spill]);
+    const Shard& shard = *shards_[shard_of(hash_id(record.id))];
+    return util::BytesView(shard.spill_keys[record.spill]);
   }
   return util::BytesView(record.key, record.key_len);
 }
@@ -70,7 +130,7 @@ CookieDescriptor DescriptorStore::materialize(const Record& record) const {
   const util::BytesView key = key_of(record);
   descriptor.key.assign(key.begin(), key.end());
   if (record.profile != kNoProfile) {
-    const Profile& profile = profiles_[record.profile];
+    const Profile& profile = profiles_->list[record.profile];
     descriptor.service_data = profile.service_data;
     descriptor.attributes = profile.attributes;
   }
@@ -80,58 +140,69 @@ CookieDescriptor DescriptorStore::materialize(const Record& record) const {
   return descriptor;
 }
 
-void DescriptorStore::clear() {
-  records_.clear();
-  index_.clear();
-  profiles_.clear();
-  intern_.clear();
-  spill_keys_.clear();
-  spill_free_.clear();
+void DescriptorStore::Shard::refresh_stats() const {
+  bytes = sizeof(Shard) + records.capacity() * sizeof(Record) +
+          index.memory_bytes() +
+          spill_keys.capacity() * sizeof(util::Bytes) +
+          spill_free.capacity() * sizeof(uint32_t);
+  for (const util::Bytes& key : spill_keys) bytes += key.capacity();
+  probes = state::ProbeHistogram{};
+  index.for_each_probe_length(hasher(),
+                              [this](uint32_t n) { probes.add(n); });
+  stats_fresh = true;
 }
 
-void DescriptorStore::reserve(size_t n) {
-  records_.reserve(n);
-  index_.reserve(n, index_hasher());
-}
-
-size_t DescriptorStore::memory_bytes() const {
-  size_t bytes = records_.capacity() * sizeof(Record) +
-                 index_.memory_bytes() + intern_.memory_bytes();
-  for (const util::Bytes& key : spill_keys_) bytes += key.capacity();
-  bytes += spill_keys_.capacity() * sizeof(util::Bytes);
+DescriptorStore::Stats DescriptorStore::stats() const {
+  Stats out;
+  out.entries = size_;
+  size_t index_entries = 0;
+  size_t index_slots = 0;
+  state::ProbeHistogram probes;
+  for (const auto& shard : shards_) {
+    if (!shard->stats_fresh) shard->refresh_stats();
+    out.bytes += shard->bytes;
+    index_entries += shard->index.size();
+    index_slots += shard->index.slot_count();
+    probes.merge(shard->probes);
+  }
+  out.load_pct = index_slots == 0
+                     ? 0
+                     : static_cast<unsigned>(index_entries * 100 / index_slots);
+  out.probes = probes.stats();
   // Interned profiles: count the string payloads, attribute vectors
   // and extras approximately (they are shared across all records).
-  for (const Profile& profile : profiles_) {
-    bytes += sizeof(Profile) + profile.service_data.capacity() +
-             profile.attributes.transports.capacity() * sizeof(Transport);
+  out.bytes += profiles_->intern.memory_bytes();
+  for (const Profile& profile : profiles_->list) {
+    out.bytes += sizeof(Profile) + profile.service_data.capacity() +
+                 profile.attributes.transports.capacity() * sizeof(Transport);
     for (const auto& [k, v] : profile.attributes.extra) {
-      bytes += k.capacity() + v.capacity() + 64;
+      out.bytes += k.capacity() + v.capacity() + 64;
     }
   }
-  return bytes;
+  return out;
 }
 
-state::ProbeStats DescriptorStore::probe_stats(size_t max_samples) const {
-  return index_.probe_stats(index_hasher(), max_samples);
-}
-
-DescriptorStore::Record& DescriptorStore::insert_record(CookieId id) {
-  const auto [slot_entry, inserted] = index_.find_or_insert(
-      hash_id(id), index_matcher(id), index_hasher(), [&] {
-        records_.emplace_back();
-        return static_cast<uint32_t>(records_.size() - 1);
+DescriptorStore::Record& DescriptorStore::insert_record(Shard& shard,
+                                                        CookieId id) {
+  const auto [slot_entry, inserted] = shard.index.find_or_insert(
+      hash_id(id), shard.matcher(id), shard.hasher(), [&] {
+        shard.records.emplace_back();
+        return static_cast<uint32_t>(shard.records.size() - 1);
       });
-  Record& record = records_[*slot_entry];
-  if (!inserted) {
+  Record& record = shard.records[*slot_entry];
+  if (inserted) {
+    ++size_;
+  } else {
     // Replacing in place: drop old spill before the caller overwrites.
-    release_spill(record);
+    release_spill(shard, record);
     record = Record{};
   }
   record.id = id;
   return record;
 }
 
-void DescriptorStore::set_key(Record& record, util::BytesView key) {
+void DescriptorStore::set_key(Shard& shard, Record& record,
+                              util::BytesView key) {
   if (key.size() <= kInlineKeyBytes) {
     std::memcpy(record.key, key.data(), key.size());
     record.key_len = static_cast<uint8_t>(key.size());
@@ -139,20 +210,20 @@ void DescriptorStore::set_key(Record& record, util::BytesView key) {
     return;
   }
   record.key_len = 0;
-  if (!spill_free_.empty()) {
-    record.spill = spill_free_.back();
-    spill_free_.pop_back();
+  if (!shard.spill_free.empty()) {
+    record.spill = shard.spill_free.back();
+    shard.spill_free.pop_back();
   } else {
-    record.spill = static_cast<uint32_t>(spill_keys_.size());
-    spill_keys_.emplace_back();
+    record.spill = static_cast<uint32_t>(shard.spill_keys.size());
+    shard.spill_keys.emplace_back();
   }
-  spill_keys_[record.spill].assign(key.begin(), key.end());
+  shard.spill_keys[record.spill].assign(key.begin(), key.end());
 }
 
-void DescriptorStore::release_spill(Record& record) {
+void DescriptorStore::release_spill(Shard& shard, Record& record) {
   if (record.spill == kNoSpill) return;
-  spill_keys_[record.spill].clear();
-  spill_free_.push_back(record.spill);
+  shard.spill_keys[record.spill].clear();
+  shard.spill_free.push_back(record.spill);
   record.spill = kNoSpill;
 }
 
@@ -165,12 +236,15 @@ uint32_t DescriptorStore::intern_profile(const CookieDescriptor& descriptor) {
   std::string identity = descriptor.service_data;
   identity.push_back('\0');
   identity += shared.to_json().dump();
-  const auto [item, inserted] = intern_.try_emplace(identity);
-  if (inserted) {
-    profiles_.push_back(Profile{descriptor.service_data, std::move(shared)});
-    item->value = static_cast<uint32_t>(profiles_.size() - 1);
+  if (const uint32_t* known = profiles_->intern.find(identity)) return *known;
+  // A new profile: clone the set first if another copy shares it.
+  if (profiles_.use_count() != 1) {
+    profiles_ = std::make_shared<Profiles>(*profiles_);
   }
-  return item->value;
+  profiles_->list.push_back(Profile{descriptor.service_data, std::move(shared)});
+  const auto slot = static_cast<uint32_t>(profiles_->list.size() - 1);
+  profiles_->intern.try_emplace(identity).first->value = slot;
+  return slot;
 }
 
 }  // namespace nnn::cookies

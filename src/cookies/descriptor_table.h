@@ -8,11 +8,14 @@
 // before the table becomes visible to any reader), so any number of
 // worker threads may read it with no locks in verify_batch. The one
 // table that is edited in place is a CookieVerifier's own, which only
-// its single writer ever sees; it bumps the epoch on every edit.
+// its single writer ever sees.
 //
 // Contents are a cookies::DescriptorStore snapshot: one 64-byte
 // Record per descriptor (key inline, revocation tombstone, expiry)
 // behind an open-addressing id index, with service profiles interned.
+// The store's shards are shared copy-on-write with the TableMirror
+// that built the table and with the tables published before and after
+// it, so consecutive tables cost only the shards that differ.
 // Unlike the historical unordered_map<CookieId, TableEntry>, the
 // table carries no per-entry HMAC key schedules — midstates are a
 // verifier-local working set (cookies::HotTier) sized to the hot

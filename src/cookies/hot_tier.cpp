@@ -12,14 +12,14 @@ void HotTier::begin_burst() {
   limbo_.clear();
 }
 
-const HotTier::Entry* HotTier::lookup(CookieId id, uint64_t epoch) {
+const HotTier::Entry* HotTier::lookup(CookieId id, uint64_t stamp) {
   uint32_t probes = 0;
   const uint32_t* slot =
       index_.find(hash_id(id), index_matcher(id), &probes);
   sample_probe(probes);
   if (slot == nullptr) return nullptr;
   Entry& entry = pool_[*slot];
-  if (entry.epoch != epoch) return nullptr;  // table swapped: revalidate
+  if (entry.stamp != stamp) return nullptr;  // shard changed: revalidate
   entry.referenced = true;
   ++hits_;
   return &entry;
@@ -27,12 +27,12 @@ const HotTier::Entry* HotTier::lookup(CookieId id, uint64_t epoch) {
 
 const HotTier::Entry* HotTier::admit(const DescriptorStore::Record& record,
                                      const DescriptorStore& store,
-                                     uint64_t epoch) {
+                                     uint64_t stamp) {
   assert(!record.revoked && "revoked records are never admitted");
   const util::BytesView key = store.key_of(record);
   if (uint32_t* slot = index_.find(hash_id(record.id),
                                    index_matcher(record.id))) {
-    // Present but stamped with an older epoch: revalidate. The
+    // Present but stamped with an older shard version: revalidate. The
     // descriptor metadata is re-materialized (profile or expiry may
     // have changed); the schedule survives unless the key rotated.
     Entry& entry = pool_[*slot];
@@ -43,7 +43,7 @@ const HotTier::Entry* HotTier::admit(const DescriptorStore::Record& record,
       entry.schedule = crypto::HmacKeySchedule{key};
       ++rehydrations_;
     }
-    entry.epoch = epoch;
+    entry.stamp = stamp;
     entry.referenced = true;
     return &entry;
   }
@@ -53,7 +53,7 @@ const HotTier::Entry* HotTier::admit(const DescriptorStore::Record& record,
   entry.descriptor = store.materialize(record);
   entry.schedule = crypto::HmacKeySchedule{key};
   entry.id = record.id;
-  entry.epoch = epoch;
+  entry.stamp = stamp;
   entry.referenced = true;
   entry.live = true;
   ++rehydrations_;
@@ -62,15 +62,6 @@ const HotTier::Entry* HotTier::admit(const DescriptorStore::Record& record,
       hash_id(record.id), [](const uint32_t&) { return false; },
       index_hasher(), [&] { return slot; });
   return &entry;
-}
-
-void HotTier::clear() {
-  index_.clear();
-  pool_.clear();
-  free_.clear();
-  limbo_.clear();
-  live_count_ = 0;
-  clock_hand_ = 0;
 }
 
 size_t HotTier::memory_bytes() const {

@@ -18,13 +18,16 @@
 // budget, so the sliding window of hot descriptors sizes memory, not
 // the table.
 //
-// Correctness across table swaps: entries are stamped with the table
-// epoch they were validated against. A lookup only trusts an entry
-// whose stamp matches the current table's epoch; on mismatch the
-// caller re-resolves from the table and admit() revalidates — same
-// key, keep the schedule; rotated key, rebuild it — so a swap can
-// revoke, expire, or re-key a hot descriptor and the tier can never
-// serve stale crypto state. Eviction recycles slots through a limbo
+// Correctness across table swaps: entries are stamped with the
+// DescriptorStore shard stamp they were validated against. A shard's
+// stamp changes on every write to it and is never reused, so a lookup
+// trusts an entry only while its id's shard in the current table
+// carries the same stamp; on mismatch the caller re-resolves from the
+// table and admit() revalidates — same key, keep the schedule; rotated
+// key, rebuild it — so a swap can revoke, expire, or re-key a hot
+// descriptor and the tier can never serve stale crypto state. A swap
+// that changed one shard costs only that shard's entries a
+// revalidation; the rest stay hits. Eviction recycles slots through a limbo
 // list drained at burst boundaries, so descriptor pointers handed out
 // in this burst's VerifyResults stay valid until the next burst.
 //
@@ -54,8 +57,8 @@ class HotTier {
     CookieDescriptor descriptor;
     crypto::HmacKeySchedule schedule;
     CookieId id = 0;
-    /// Table epoch this entry was last validated against.
-    uint64_t epoch = 0;
+    /// Shard stamp this entry was last validated against.
+    uint64_t stamp = 0;
     bool referenced = false;  // CLOCK second-chance bit
     bool live = false;
   };
@@ -78,28 +81,27 @@ class HotTier {
   /// call may afterwards be overwritten.
   void begin_burst();
 
-  /// Fast path: the entry for `id` validated against table epoch
-  /// `epoch`, or nullptr when absent/stale (caller re-resolves).
-  const Entry* lookup(CookieId id, uint64_t epoch);
+  /// Fast path: the entry for `id` validated against shard stamp
+  /// `stamp`, or nullptr when absent/stale (caller re-resolves).
+  const Entry* lookup(CookieId id, uint64_t stamp);
 
   /// lookup() without the side effects (no hit count, no CLOCK
   /// reference bit, no probe sample) — tests and introspection.
-  const Entry* peek(CookieId id, uint64_t epoch) const {
+  const Entry* peek(CookieId id, uint64_t stamp) const {
     const uint32_t* slot = index_.find(
         hash_id(id), [this, id](const uint32_t& s) {
           return pool_[s].id == id && pool_[s].live;
         });
     if (slot == nullptr) return nullptr;
     const Entry& entry = pool_[*slot];
-    return entry.epoch == epoch ? &entry : nullptr;
+    return entry.stamp == stamp ? &entry : nullptr;
   }
 
   /// Slow path: admit or revalidate `record` (must not be revoked)
-  /// against `store`, stamping `epoch`.
+  /// against `store`, stamping `stamp`.
   const Entry* admit(const DescriptorStore::Record& record,
-                     const DescriptorStore& store, uint64_t epoch);
+                     const DescriptorStore& store, uint64_t stamp);
 
-  void clear();
   size_t memory_bytes() const;
   /// Sampled (1 in 64) lookup probe lengths; `hist` must outlive the
   /// tier.

@@ -80,7 +80,6 @@ void CookieVerifier::sync_state_metrics() {
 }
 
 void CookieVerifier::owned_changed() {
-  owned_.set_epoch(owned_.epoch() + 1);
   if (table_ == &owned_) {
     descriptors_.set(static_cast<int64_t>(owned_.size()));
   }
@@ -94,9 +93,6 @@ void CookieVerifier::add_descriptor(const CookieDescriptor& descriptor) {
 
 void CookieVerifier::set_external_table(const DescriptorTable* table) {
   const WriterCheck check(*this);
-  // Hot entries stamped with an own-table epoch must never match a
-  // publisher epoch of the same value.
-  if (table_ == &owned_) hot_.clear();
   table_ = table;
   descriptors_.set(static_cast<int64_t>(table ? table->size() : 0));
   sync_state_metrics();
@@ -129,22 +125,22 @@ bool CookieVerifier::knows(CookieId id) const {
 
 const CookieDescriptor* CookieVerifier::find(CookieId id) const {
   if (table_ == nullptr) return nullptr;
-  const uint64_t epoch = table_->epoch();
-  if (const HotTier::Entry* hot = hot_.lookup(id, epoch)) {
+  const uint64_t stamp = table_->store().stamp_of(id);
+  if (const HotTier::Entry* hot = hot_.lookup(id, stamp)) {
     return &hot->descriptor;
   }
   const DescriptorStore::Record* record = table_->find(id);
   if (record == nullptr || record->revoked) return nullptr;
-  return &hot_.admit(*record, table_->store(), epoch)->descriptor;
+  return &hot_.admit(*record, table_->store(), stamp)->descriptor;
 }
 
 bool CookieVerifier::resolve(CookieId id, Resolved& out) {
   if (table_ == nullptr) return false;
-  const uint64_t epoch = table_->epoch();
-  // Fast path: a hot entry stamped with the current epoch is known
-  // valid (revoked records are never admitted, and any table change
-  // bumps the epoch, forcing re-resolution below).
-  const HotTier::Entry* hot = hot_.lookup(id, epoch);
+  const uint64_t stamp = table_->store().stamp_of(id);
+  // Fast path: a hot entry stamped with its shard's current stamp is
+  // known valid (revoked records are never admitted, and any write to
+  // the shard restamps it, forcing re-resolution below).
+  const HotTier::Entry* hot = hot_.lookup(id, stamp);
   if (hot == nullptr) {
     const DescriptorStore::Record* record = table_->find(id);
     if (record == nullptr) return false;
@@ -154,7 +150,7 @@ bool CookieVerifier::resolve(CookieId id, Resolved& out) {
       out = Resolved{nullptr, nullptr, true};
       return true;
     }
-    hot = hot_.admit(*record, table_->store(), epoch);
+    hot = hot_.admit(*record, table_->store(), stamp);
   }
   out = Resolved{&hot->descriptor, &hot->schedule, false};
   return true;

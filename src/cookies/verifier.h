@@ -17,12 +17,13 @@
 // Hot-path shape (§4.6, Fig. 4): MAC verification resumes from
 // precomputed ipad/opad SHA-256 midstates instead of re-deriving the
 // key schedule — half the compressions per cookie. Schedules live in
-// a bounded cookies::HotTier keyed by table epoch: descriptors
+// a bounded cookies::HotTier validated per store shard: descriptors
 // actually hit stay resident with midstates, cold ones are 64-byte
 // table records rehydrated on first hit, so a million-descriptor
 // table does not mean a million midstates. An edit to the owned table
-// bumps its epoch, and the hot tier revalidates lazily on the next
-// hit exactly as it does after a published swap. verify_batch()
+// restamps the shard it touched, and the hot tier revalidates that
+// shard's entries lazily on their next hit, exactly as after a
+// published swap that changed the shard. verify_batch()
 // amortizes the remaining per-call costs (clock read, descriptor
 // lookup) across a burst, the unit of work the runtime's rings hand
 // to a worker.
@@ -192,11 +193,9 @@ class CookieVerifier {
   /// table yet" and verifies everything as kUnknownId. Replay and
   /// hot-tier state stay local to the verifier, so use-once memory and
   /// warm midstates survive table swaps (the hot tier revalidates
-  /// epoch-stamped entries lazily). The switch is one-way for the
-  /// lifetime of the verifier: add_descriptor/revoke/remove keep
-  /// editing its own table, but verification no longer reads it. The
-  /// first switch empties the hot tier, since the own table's epochs
-  /// and the publisher's are unrelated counters.
+  /// entries whose shard changed, lazily). The switch is one-way for
+  /// the lifetime of the verifier: add_descriptor/revoke/remove keep
+  /// editing its own table, but verification no longer reads it.
   void set_external_table(const DescriptorTable* table);
 
   /// Revocation (§4.5): "the network can similarly stop matching
@@ -282,8 +281,8 @@ class CookieVerifier {
 
   /// Looks `id` up in the active table. False when unknown.
   bool resolve(CookieId id, Resolved& out);
-  /// After an edit to the own table: bump its epoch so hot entries
-  /// revalidate, and refresh the descriptor gauge if it is active.
+  /// After an edit to the own table: refresh the descriptor gauge if
+  /// the own table is the active one.
   void owned_changed();
   /// Checks (ii)-(iv) + revocation/expiry against a resolved match.
   VerifyResult verify_resolved(const Resolved& match, const Cookie& cookie,

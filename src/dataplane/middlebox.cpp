@@ -232,10 +232,13 @@ void Middlebox::maybe_attach_ack(net::Packet& packet) {
   ack.uuid = crypto::Uuid::generate(ack_rng_);
   ack.timestamp = cookies::to_cookie_time(clock_.now());
   ack.signature = ack.compute_tag(util::BytesView(descriptor->key));
+  // The TCP option comes last: any TCP packet can carry it, so it is
+  // the fallback that keeps a TCP flow's debt from outliving the flow
+  // when no reverse packet is an HTTP request or a ClientHello.
   for (const auto transport :
        {cookies::Transport::kIpv6Extension,
         cookies::Transport::kUdpHeader, cookies::Transport::kHttpHeader,
-        cookies::Transport::kTlsExtension}) {
+        cookies::Transport::kTlsExtension, cookies::Transport::kTcpOption}) {
     if (cookies::attach(packet, ack, transport)) {
       pending_acks_.erase(it);
       return;

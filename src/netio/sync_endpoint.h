@@ -10,7 +10,12 @@
 //
 // SyncServer::handle is thread-safe and stateless per call, so ONE
 // SyncServer instance serves every connection; the factory here only
-// stamps out thin per-connection adapters.
+// stamps out thin per-connection adapters. Each adapter opens a push
+// channel on its connection's first frame: log changes then reach the
+// middlebox as Push frames written from the loop thread (the server
+// posts one coalesced flush per connection through EventLoop::post,
+// whatever thread appended), and the channel closes with the
+// connection.
 #pragma once
 
 #include "controlplane/sync_server.h"
@@ -23,12 +28,14 @@ class SyncEndpoint final : public Protocol {
  public:
   explicit SyncEndpoint(controlplane::SyncServer& server)
       : server_(server) {}
+  ~SyncEndpoint() override;
 
   Expected<size_t> on_data(Connection& conn,
                            util::BytesView buffered) override;
 
  private:
   controlplane::SyncServer& server_;
+  uint64_t channel_ = 0;  // push channel, opened on the first frame
 };
 
 /// Factory for TcpServer::create. `server` must outlive the TcpServer.

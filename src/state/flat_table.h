@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <new>
 #include <utility>
@@ -69,6 +70,49 @@ struct ProbeStats {
   uint32_t p50 = 0;
   uint32_t p99 = 0;
   uint32_t max = 0;
+};
+
+/// Exact probe-length counts that merge across tables: a sharded
+/// store keeps one per shard and sums them for its gauges. Lengths of
+/// kBuckets or more share the last bucket.
+struct ProbeHistogram {
+  static constexpr uint32_t kBuckets = 16;
+  std::array<uint64_t, kBuckets> counts{};
+  uint64_t total = 0;  // sum of lengths, for the mean
+  uint32_t max = 0;
+
+  void add(uint32_t probes) {
+    ++counts[std::min(probes, kBuckets - 1)];
+    total += probes;
+    max = std::max(max, probes);
+  }
+  void merge(const ProbeHistogram& other) {
+    for (uint32_t i = 0; i < kBuckets; ++i) counts[i] += other.counts[i];
+    total += other.total;
+    max = std::max(max, other.max);
+  }
+  /// Same order statistics as FlatTable::probe_stats over every element.
+  ProbeStats stats() const {
+    ProbeStats out;
+    for (const uint64_t c : counts) out.samples += c;
+    if (out.samples == 0) return out;
+    out.mean = static_cast<double>(total) / static_cast<double>(out.samples);
+    out.max = max;
+    out.p50 = rank(out.samples / 2);
+    out.p99 = rank((out.samples * 99) / 100);
+    return out;
+  }
+
+ private:
+  /// Length at 0-based position `index` of the sorted lengths.
+  uint32_t rank(uint64_t index) const {
+    uint64_t seen = 0;
+    for (uint32_t i = 0; i < kBuckets; ++i) {
+      seen += counts[i];
+      if (seen > index) return i;
+    }
+    return kBuckets - 1;
+  }
 };
 
 template <class T>
@@ -272,16 +316,12 @@ class FlatTable {
     if (n * 8 > slot_count_ * 7) rehash_for(n, elem_hash);
   }
 
-  template <class ElemHash>
-  ProbeStats probe_stats(ElemHash&& elem_hash, size_t max_samples) const {
-    ProbeStats stats;
-    if (size_ == 0 || slot_count_ == 0) return stats;
-    std::vector<uint32_t> lengths;
-    lengths.reserve(std::min(size_, max_samples));
-    const size_t stride = std::max<size_t>(1, size_ / std::max<size_t>(
-                                                  1, max_samples));
+  /// Feed `fn` the probe length (control groups a lookup examines to
+  /// reach it) of every `stride`-th live element, in slot order.
+  template <class ElemHash, class Fn>
+  void for_each_probe_length(ElemHash&& elem_hash, Fn&& fn,
+                             size_t stride = 1) const {
     size_t seen = 0;
-    uint64_t total = 0;
     for (size_t i = 0; i < slot_count_; ++i) {
       if (!is_full(ctrl_[i])) continue;
       if (seen++ % stride != 0) continue;
@@ -299,10 +339,27 @@ class FlatTable {
         g = (g + step) & group_mask_;
         ++probes;
       }
-      lengths.push_back(probes);
-      total += probes;
-      stats.max = std::max(stats.max, probes);
+      fn(probes);
     }
+  }
+
+  template <class ElemHash>
+  ProbeStats probe_stats(ElemHash&& elem_hash, size_t max_samples) const {
+    ProbeStats stats;
+    if (size_ == 0 || slot_count_ == 0) return stats;
+    std::vector<uint32_t> lengths;
+    lengths.reserve(std::min(size_, max_samples));
+    const size_t stride = std::max<size_t>(1, size_ / std::max<size_t>(
+                                                  1, max_samples));
+    uint64_t total = 0;
+    for_each_probe_length(
+        elem_hash,
+        [&](uint32_t probes) {
+          lengths.push_back(probes);
+          total += probes;
+          stats.max = std::max(stats.max, probes);
+        },
+        stride);
     if (lengths.empty()) return stats;
     stats.samples = lengths.size();
     stats.mean = static_cast<double>(total) / lengths.size();

@@ -124,9 +124,18 @@ TEST_P(ChaosSync, ConvergesFailOpenWithReplaySafety) {
     client_ptr->on_datagram(util::BytesView(p.payload));
   });
   to_client.set_fault_injector(&injector, 1);
+  // Pushes ride the same impaired link as replies: partitions, loss
+  // spikes and outages eat them too, and the poll must recover.
+  const uint64_t channel = server.open_channel(
+      {[&](std::function<void()> task) { loop.after(0, std::move(task)); },
+       [&](util::Bytes push) {
+         net::Packet p;
+         p.payload = std::move(push);
+         to_client.send(std::move(p));
+       }});
   wire.impairment_seed = seed * 2 + 2;
   sim::Link to_server(loop, wire, [&](net::Packet p) {
-    if (auto reply = server.handle(util::BytesView(p.payload))) {
+    if (auto reply = server.handle(util::BytesView(p.payload), channel)) {
       net::Packet r;
       r.payload = std::move(*reply);
       to_client.send(std::move(r));
@@ -267,6 +276,96 @@ TEST_P(ChaosSync, ConvergesFailOpenWithReplaySafety) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSync,
                          ::testing::Range<uint64_t>(1, 22));
+
+// Push under an injected sync outage: the server is dark for pushes
+// exactly as for polls, and pushes resume once it lifts.
+TEST(ChaosPush, OutageSilencesPushesThenTheyResume) {
+  fault::FaultPlan plan;
+  fault::FaultEvent outage;
+  outage.kind = fault::FaultKind::kSyncOutage;
+  outage.start = 2 * kSecond;
+  outage.duration = 2 * kSecond;
+  plan.add(outage);
+  fault::Injector injector;
+  injector.arm(plan, 1);
+
+  sim::EventLoop loop;
+  controlplane::DescriptorLog log;
+  controlplane::SyncServer server(log);
+  server.set_fault_injector(&injector, &loop.clock());
+  controlplane::TablePublisher tables;
+  controlplane::SyncClient* client_ptr = nullptr;
+  sim::Link::Config wire;
+  wire.prop_delay = 5 * kMillisecond;
+  sim::Link to_client(loop, wire, [&](net::Packet p) {
+    client_ptr->on_datagram(util::BytesView(p.payload));
+  });
+  const uint64_t channel = server.open_channel(
+      {[&](std::function<void()> task) { loop.after(0, std::move(task)); },
+       [&](util::Bytes push) {
+         net::Packet p;
+         p.payload = std::move(push);
+         to_client.send(std::move(p));
+       }});
+  sim::Link to_server(loop, wire, [&](net::Packet p) {
+    if (auto reply = server.handle(util::BytesView(p.payload), channel)) {
+      net::Packet r;
+      r.payload = std::move(*reply);
+      to_client.send(std::move(r));
+    }
+  });
+  controlplane::SyncClient::Config cfg;
+  cfg.poll_interval = 500 * kMillisecond;
+  cfg.response_timeout = 200 * kMillisecond;
+  cfg.backoff_base = 100 * kMillisecond;
+  cfg.backoff_max = 400 * kMillisecond;
+  controlplane::SyncClient client(loop.clock(), tables, cfg,
+                                  [&](util::Bytes request) {
+                                    net::Packet p;
+                                    p.payload = std::move(request);
+                                    to_server.send(std::move(p));
+                                  });
+  client_ptr = &client;
+  log.append_add(make_descriptor(1));
+  client.start();
+  std::function<void()> pump = [&] {
+    client.tick();
+    loop.after(5 * kMillisecond, pump);
+  };
+  pump();
+  loop.run_until(kSecond);
+  ASSERT_EQ(client.applied_version(), 1u);
+
+  // Before the outage an update lands by push, well inside a poll.
+  log.append_add(make_descriptor(2));
+  loop.run_until(loop.now() + 20 * kMillisecond);
+  EXPECT_EQ(client.applied_version(), 2u);
+  EXPECT_EQ(server.pushes_sent(), 1u);
+
+  // During it: nothing is pushed (and polls go unanswered).
+  loop.run_until(2500 * kMillisecond);
+  log.append_revoke(1);
+  loop.run_until(3 * kSecond);
+  log.append_add(make_descriptor(3));
+  loop.run_until(3900 * kMillisecond);
+  EXPECT_EQ(server.pushes_sent(), 1u);
+  EXPECT_EQ(client.applied_version(), 2u);
+  EXPECT_GT(client.retries(), 0u);
+
+  // After it: the poll path catches up, and pushes flow again.
+  loop.run_until(6 * kSecond);
+  EXPECT_EQ(client.applied_version(), 4u);
+  const uint64_t pushes_before = server.pushes_sent();
+  const uint64_t received_before = client.pushes_received();
+  log.append_revoke(3);
+  loop.run_until(loop.now() + 20 * kMillisecond);
+  EXPECT_EQ(client.applied_version(), 5u);
+  EXPECT_EQ(server.pushes_sent(), pushes_before + 1);
+  EXPECT_EQ(client.pushes_received(), received_before + 1);
+  ASSERT_NE(tables.peek(), nullptr);
+  EXPECT_TRUE(tables.peek()->find(1)->revoked);
+  EXPECT_TRUE(tables.peek()->find(3)->revoked);
+}
 
 // --- Worker pool under chaos ---------------------------------------
 //

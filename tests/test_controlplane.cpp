@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -90,6 +92,48 @@ TEST(DescriptorLog, DeltaSinceAndCompaction) {
   ASSERT_TRUE(tail.has_value());
   EXPECT_EQ(tail->size(), 2u);
   EXPECT_EQ(tail->front().version, 5u);
+}
+
+TEST(DescriptorLog, DeltaSinceIndexesFromTheCompactionEdge) {
+  DescriptorLog log;
+  for (cookies::CookieId id = 1; id <= 10; ++id) {
+    log.append_add(make_descriptor(id));
+  }
+  log.compact(/*keep_updates=*/4);  // retains versions 7..10
+  // `from` exactly at the compaction edge is servable and starts at the
+  // first retained update; one below it is not.
+  const auto edge = log.delta_since(6);
+  ASSERT_TRUE(edge.has_value());
+  ASSERT_EQ(edge->size(), 4u);
+  for (size_t i = 0; i < edge->size(); ++i) {
+    EXPECT_EQ((*edge)[i].version, 7u + i);
+    EXPECT_EQ((*edge)[i].id, 7u + i);
+  }
+  EXPECT_FALSE(log.delta_since(5).has_value());
+  // from == version(): in range, empty.
+  ASSERT_TRUE(log.delta_since(10).has_value());
+  EXPECT_TRUE(log.delta_since(10)->empty());
+
+  // Appends after a compaction extend the indexed tail.
+  log.append_revoke(8);
+  const auto after = log.delta_since(8);
+  ASSERT_TRUE(after.has_value());
+  ASSERT_EQ(after->size(), 3u);
+  EXPECT_EQ(after->front().version, 9u);
+  EXPECT_EQ(after->back().version, 11u);
+  EXPECT_EQ(after->back().op, UpdateOp::kRevoke);
+
+  // Compacting everything leaves only the head servable.
+  log.compact(0);
+  EXPECT_EQ(log.retained_updates(), 0u);
+  ASSERT_TRUE(log.delta_since(11).has_value());
+  EXPECT_TRUE(log.delta_since(11)->empty());
+  EXPECT_FALSE(log.delta_since(10).has_value());
+  log.append_remove(1);
+  const auto fresh = log.delta_since(11);
+  ASSERT_TRUE(fresh.has_value());
+  ASSERT_EQ(fresh->size(), 1u);
+  EXPECT_EQ(fresh->front().version, 12u);
 }
 
 TEST(DescriptorLog, ExpireDueAppendsRemovals) {
@@ -544,6 +588,194 @@ TEST(SyncClient, RestoresCheckpointWithinBudgetAndRejectsStale) {
     EXPECT_EQ(fresh.tables.peek(), nullptr);
     EXPECT_FALSE(fresh.client->running_on_restored_table());
   }
+}
+
+// --- Push on delta ------------------------------------------------
+
+/// Loopback with a push channel. Flushes the server posts queue until
+/// run_posted() (the channel's "loop"); pushes reach the client unless
+/// drop_pushes is set. Polls answer synchronously, as in Loopback.
+struct PushLoopback {
+  util::ManualClock clock{1000 * kSecond};
+  DescriptorLog log;
+  SyncServer server;
+  TablePublisher tables;
+  std::vector<std::function<void()>> posted;
+  bool drop_pushes = false;
+  uint64_t polls = 0;
+  uint64_t channel = 0;
+  std::unique_ptr<SyncClient> client;
+
+  explicit PushLoopback(SyncClient::Config config = {},
+                        SyncServer::Config server_config = {})
+      : server(log, server_config) {
+    channel = server.open_channel(
+        {[this](std::function<void()> task) {
+           posted.push_back(std::move(task));
+         },
+         [this](util::Bytes push) {
+           if (!drop_pushes) client->on_datagram(util::BytesView(push));
+         }});
+    client = std::make_unique<SyncClient>(
+        clock, tables, config, [this](util::Bytes request) {
+          ++polls;
+          if (auto reply = server.handle(util::BytesView(request), channel)) {
+            client->on_datagram(util::BytesView(*reply));
+          }
+        });
+  }
+
+  void run_posted() {
+    std::vector<std::function<void()>> tasks;
+    tasks.swap(posted);
+    for (auto& task : tasks) task();
+  }
+
+  /// Advance in steps like a driver loop: posted work, then the tick.
+  void run_for(util::Timestamp duration,
+               util::Timestamp step = kMillisecond) {
+    const util::Timestamp until = clock.now() + duration;
+    while (clock.now() < until) {
+      clock.advance(step);
+      run_posted();
+      client->tick();
+    }
+  }
+};
+
+SyncClient::Config unjittered() {
+  SyncClient::Config config;
+  config.jitter = 0;
+  return config;
+}
+
+TEST(SyncPush, AppendsCoalesceIntoOnePushPerFlush) {
+  PushLoopback lo(unjittered());
+  lo.log.append_add(make_descriptor(1));
+  // Not answered yet: an append posts nothing.
+  EXPECT_TRUE(lo.posted.empty());
+  lo.client->start();  // snapshot at version 1 arms the channel
+  ASSERT_EQ(lo.client->applied_version(), 1u);
+
+  const uint64_t polls = lo.polls;
+  lo.log.append_add(make_descriptor(2));
+  lo.log.append_revoke(1);
+  lo.log.append_add(make_descriptor(3));
+  ASSERT_EQ(lo.posted.size(), 1u) << "one pending flush per channel";
+  lo.run_posted();
+  EXPECT_EQ(lo.client->applied_version(), 4u);
+  EXPECT_EQ(lo.client->pushes_received(), 1u);
+  EXPECT_EQ(lo.server.pushes_sent(), 1u);
+  EXPECT_EQ(lo.polls, polls) << "a push is not a poll";
+  ASSERT_NE(lo.tables.peek(), nullptr);
+  EXPECT_EQ(lo.tables.peek()->version(), 4u);
+  EXPECT_TRUE(lo.tables.peek()->find(1)->revoked);
+  EXPECT_FALSE(lo.tables.peek()->find(3)->revoked);
+
+  // Caught up: the next append pushes from the version last sent.
+  lo.log.append_remove(2);
+  lo.run_posted();
+  EXPECT_EQ(lo.client->applied_version(), 5u);
+  EXPECT_EQ(lo.tables.peek()->find(2), nullptr);
+
+  // A closed channel gets nothing, even from a flush already posted.
+  lo.log.append_add(make_descriptor(4));
+  lo.server.close_channel(lo.channel);
+  lo.run_posted();
+  EXPECT_EQ(lo.client->applied_version(), 5u);
+  EXPECT_EQ(lo.server.pushes_sent(), 2u);
+}
+
+TEST(SyncPush, GapBeyondMaxDeltaPushesNothing) {
+  SyncServer::Config tight;
+  tight.max_delta_updates = 2;
+  PushLoopback lo(unjittered(), tight);
+  lo.log.append_add(make_descriptor(1));
+  lo.client->start();
+  for (cookies::CookieId id = 2; id <= 4; ++id) {
+    lo.log.append_add(make_descriptor(id));
+  }
+  lo.run_posted();
+  EXPECT_EQ(lo.server.pushes_sent(), 0u);
+  EXPECT_EQ(lo.client->applied_version(), 1u);
+  // The next poll gets the snapshot.
+  lo.run_for(150 * kMillisecond);
+  EXPECT_EQ(lo.client->applied_version(), 4u);
+}
+
+TEST(SyncPush, DroppedPushRecoveredByNextHeartbeatPoll) {
+  const SyncClient::Config config = unjittered();
+  PushLoopback lo(config);
+  lo.log.append_add(make_descriptor(1));
+  lo.client->start();
+  lo.run_for(30 * kMillisecond);
+  ASSERT_EQ(lo.client->applied_version(), 1u);
+
+  lo.drop_pushes = true;
+  lo.log.append_revoke(1);
+  lo.run_posted();
+  lo.drop_pushes = false;
+  ASSERT_EQ(lo.server.pushes_sent(), 1u);
+  ASSERT_EQ(lo.client->applied_version(), 1u);
+
+  const util::Timestamp lost_at = lo.clock.now();
+  const uint64_t polls = lo.polls;
+  while (lo.client->applied_version() < 2 &&
+         lo.clock.now() - lost_at <= 2 * config.poll_interval) {
+    lo.run_for(kMillisecond);
+  }
+  EXPECT_EQ(lo.client->applied_version(), 2u);
+  EXPECT_LE(lo.clock.now() - lost_at, config.poll_interval);
+  EXPECT_EQ(lo.polls, polls + 1) << "recovered by the heartbeat poll";
+  EXPECT_TRUE(lo.tables.peek()->find(1)->revoked);
+}
+
+TEST(SyncPush, PushAheadOfClientTriggersImmediateRepoll) {
+  PushLoopback lo(unjittered());
+  lo.log.append_add(make_descriptor(1));
+  lo.client->start();
+  lo.run_for(10 * kMillisecond);
+
+  lo.drop_pushes = true;  // version 2 is lost on the way
+  lo.log.append_add(make_descriptor(2));
+  lo.run_posted();
+  lo.drop_pushes = false;
+  const uint64_t polls = lo.polls;
+  // The push for version 3 starts at 2, ahead of the client's 1: the
+  // client re-polls at once, without the clock moving.
+  lo.log.append_revoke(2);
+  lo.run_posted();
+  EXPECT_EQ(lo.polls, polls + 1);
+  EXPECT_EQ(lo.client->applied_version(), 3u);
+  EXPECT_TRUE(lo.tables.peek()->find(2)->revoked);
+  EXPECT_EQ(lo.client->pushes_received(), 1u);
+}
+
+TEST(SyncPush, HeartbeatKeepsItsCadenceUnderSteadyPushes) {
+  const SyncClient::Config config = unjittered();
+  PushLoopback lo(config);
+  lo.log.append_add(make_descriptor(1));
+  lo.client->start();
+  lo.run_for(config.poll_interval);
+
+  // One update every 5 ms for 2 s: every one lands by push at once,
+  // and the poll still fires every poll_interval, neither postponed by
+  // pushes nor multiplied by them.
+  const uint64_t polls = lo.polls;
+  const uint64_t pushes = lo.client->pushes_received();
+  constexpr int kUpdates = 400;
+  for (int i = 0; i < kUpdates; ++i) {
+    lo.log.append_add(make_descriptor(100 + i));
+    lo.run_posted();
+    EXPECT_EQ(lo.client->applied_version(), lo.log.version());
+    lo.run_for(5 * kMillisecond);
+  }
+  const uint64_t expected_polls = 2 * kSecond / config.poll_interval;
+  EXPECT_GE(lo.polls - polls, expected_polls - 1);
+  EXPECT_LE(lo.polls - polls, expected_polls + 1);
+  EXPECT_EQ(lo.client->pushes_received() - pushes,
+            static_cast<uint64_t>(kUpdates));
+  EXPECT_EQ(lo.client->retries(), 0u);
 }
 
 // --- Sync over lossy simulated links -------------------------------

@@ -141,6 +141,45 @@ TEST_F(DeliveryGuaranteeTest, AckDebtSurvivesUncarryablePackets) {
   EXPECT_EQ(middlebox_->pending_acks(), 0u);
 }
 
+TEST_F(DeliveryGuaranteeTest, TcpFlowDebtClearsOnFirstReversePacket) {
+  // A delivery-guarantee cookie on a TCP flow: the server's reverse
+  // packets use the owed tuple but are neither HTTP requests nor
+  // ClientHellos, so only the TCP-option carrier can take the ack.
+  cookies::CookieGenerator generator(descriptor_, clock_, 12);
+  cookies::AckMonitor monitor(clock_, 2 * kSecond);
+  net::Packet request;
+  request.tuple.src_ip = net::IpAddress::v4(192, 168, 1, 11);
+  request.tuple.dst_ip = net::IpAddress::v4(151, 101, 0, 11);
+  request.tuple.src_port = 45010;
+  request.tuple.dst_port = 443;
+  request.tuple.proto = net::L4Proto::kTcp;
+  ASSERT_TRUE(cookies::attach(request, generator.generate(),
+                              cookies::Transport::kTcpOption));
+  monitor.expect(request.tuple, descriptor_.cookie_id);
+  ASSERT_TRUE(middlebox_->process(request).action.has_value());
+  ASSERT_EQ(middlebox_->pending_acks(), 1u);
+
+  net::Packet response;
+  response.tuple = request.tuple.reversed();
+  response.payload = {0x17, 0x03, 0x03, 0x00, 0x01, 0xaa};  // app data
+  middlebox_->process(response);
+  EXPECT_EQ(middlebox_->pending_acks(), 0u);
+  const auto extracted = cookies::extract(response);
+  ASSERT_TRUE(extracted.has_value());
+  EXPECT_EQ(extracted->transport, cookies::Transport::kTcpOption);
+  EXPECT_TRUE(verifier_.verify(extracted->stack.front()).ok());
+  EXPECT_TRUE(monitor.on_packet(response));
+  EXPECT_TRUE(monitor.acked(request.tuple));
+
+  // Later reverse packets owe nothing and carry nothing.
+  net::Packet later;
+  later.tuple = request.tuple.reversed();
+  later.payload = {0x17, 0x03, 0x03, 0x00, 0x01, 0xbb};
+  middlebox_->process(later);
+  EXPECT_FALSE(cookies::extract(later).has_value());
+  EXPECT_EQ(middlebox_->pending_acks(), 0u);
+}
+
 TEST_F(DeliveryGuaranteeTest, BurstMatchesOnePacketAtATime) {
   // Delivery-guarantee mode through process_batch: the ack debt a
   // cookie records must attach to the first reverse packet that can

@@ -351,8 +351,97 @@ TEST(NetioSync, ClientConvergesOverTcp) {
 
   const auto& metrics = (*tcp)->metrics();
   EXPECT_GE(metrics.accepts.value(), 1u);
-  EXPECT_GE(metrics.frames.value(), 2u);
+  // The update usually lands as a push before the next poll; the
+  // heartbeat poll keeps running on the same socket regardless.
+  EXPECT_TRUE(wait_for([&] {
+    transport.poll([&](util::BytesView d) { client.on_datagram(d); });
+    client.tick();
+    return metrics.frames.value() >= 2;
+  }));
 
+  driver.stop();
+}
+
+TEST(NetioSync, PushesFlowWhileAnotherThreadAppends) {
+  // The log is written from a thread that is neither the loop nor the
+  // client's: every append's observer posts to the loop, and the loop
+  // writes coalesced Push frames. A 1 s poll keeps the heartbeat out of
+  // the way, so the updates can only arrive by push.
+  telemetry::Registry registry;
+  util::SystemClock clock;
+  netio::EventLoop loop(clock);
+  controlplane::DescriptorLog log;
+  for (uint64_t i = 1; i <= 10; ++i) {
+    cookies::CookieDescriptor d;
+    d.cookie_id = i;
+    d.key.assign(32, static_cast<uint8_t>(i));
+    log.append_add(std::move(d));
+  }
+  controlplane::SyncServer server(log);
+  auto tcp = netio::TcpServer::create(loop, {}, netio::sync_protocol(server),
+                                      nullptr, registry);
+  ASSERT_TRUE(tcp.has_value());
+  netio::TcpSyncTransport::Config tconfig;
+  tconfig.port = (*tcp)->port();
+  netio::TcpSyncTransport transport(loop, tconfig);
+  LoopThread driver(loop);
+
+  controlplane::TablePublisher tables;
+  controlplane::SyncClient::Config cconfig;
+  cconfig.client_id = 7;
+  cconfig.poll_interval = kSecond;
+  cconfig.response_timeout = 2 * kSecond;
+  controlplane::SyncClient client(clock, tables, cconfig,
+                                  transport.send_fn());
+  client.start();
+  const auto pump = [&] {
+    transport.poll([&](util::BytesView d) { client.on_datagram(d); });
+    client.tick();
+  };
+  ASSERT_TRUE(wait_for([&] {
+    pump();
+    return client.applied_version() == 10;
+  }));
+
+  constexpr uint64_t kUpdates = 400;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < kUpdates; ++i) {
+      if (i % 2 == 0) {
+        cookies::CookieDescriptor d;
+        d.cookie_id = 100 + i;
+        d.key.assign(32, static_cast<uint8_t>(i));
+        log.append_add(std::move(d));
+      } else {
+        log.append_revoke(100 + i - 1);
+      }
+      if (i % 16 == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  // Pump while the writer runs, then until the client is at the head.
+  while (!done.load(std::memory_order_acquire)) {
+    pump();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  writer.join();
+  EXPECT_TRUE(wait_for([&] {
+    pump();
+    return client.applied_version() == log.version();
+  }, 900));  // inside one poll interval: pushes, not the heartbeat
+
+  EXPECT_EQ(client.applied_version(), 10 + kUpdates);
+  EXPECT_GT(server.pushes_sent(), 0u);
+  EXPECT_GT(client.pushes_received(), 0u);
+  EXPECT_LE(server.pushes_sent(), kUpdates);
+  EXPECT_EQ(client.retries(), 0u);
+  const cookies::DescriptorTable* table = tables.peek();
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->version(), log.version());
+  for (uint64_t i = 0; i < kUpdates; i += 2) {
+    ASSERT_NE(table->find(100 + i), nullptr) << i;
+    EXPECT_TRUE(table->find(100 + i)->revoked) << i;
+  }
   driver.stop();
 }
 

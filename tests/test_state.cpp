@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -295,6 +296,91 @@ TEST(DescriptorStore, RevokeUnknownIdPlantsTombstone) {
   // Re-granting clears the tombstone.
   store.upsert(make_descriptor(77));
   EXPECT_FALSE(store.find(77)->revoked);
+}
+
+TEST(DescriptorStore, CopiesShareShardsUntilWritten) {
+  cookies::DescriptorStore original;
+  for (cookies::CookieId id = 1; id <= 2000; ++id) {
+    original.upsert(make_descriptor(id, id % 50 == 0 ? 48 : 32));
+  }
+  const cookies::DescriptorStore copy = original;  // pointer copies only
+  cookies::DescriptorStore edited = original;
+  ASSERT_EQ(edited.size(), 2000u);
+
+  // One write clones one shard: only ids in that shard change stamp.
+  auto rotated = make_descriptor(7);
+  rotated.key.assign(32, 0xEE);
+  edited.upsert(rotated);
+  edited.revoke(9);
+  EXPECT_TRUE(edited.erase(100));  // a spilled key
+  EXPECT_FALSE(edited.erase(100));
+  const auto shard_of = [](cookies::CookieId id) {
+    return state::mix_hash(id) >> (64 - cookies::DescriptorStore::kShardBits);
+  };
+  const std::set<uint64_t> written = {shard_of(7), shard_of(9),
+                                      shard_of(100)};
+  for (cookies::CookieId id = 1; id <= 2000; ++id) {
+    if (written.count(shard_of(id)) != 0) {
+      EXPECT_NE(edited.stamp_of(id), copy.stamp_of(id)) << id;
+    } else {
+      EXPECT_EQ(edited.stamp_of(id), copy.stamp_of(id)) << id;
+    }
+  }
+
+  // The original and its other copy still read the old contents.
+  for (const cookies::DescriptorStore* store :
+       {static_cast<const cookies::DescriptorStore*>(&original), &copy}) {
+    EXPECT_EQ(store->size(), 2000u);
+    EXPECT_EQ(store->materialize(*store->find(7)), make_descriptor(7));
+    EXPECT_FALSE(store->find(9)->revoked);
+    ASSERT_NE(store->find(100), nullptr);
+    EXPECT_EQ(store->materialize(*store->find(100)),
+              make_descriptor(100, 48));
+  }
+  EXPECT_EQ(edited.size(), 1999u);
+  EXPECT_EQ(edited.materialize(*edited.find(7)), rotated);
+  EXPECT_TRUE(edited.find(9)->revoked);
+  EXPECT_EQ(edited.find(100), nullptr);
+  EXPECT_EQ(edited.materialize(*edited.find(150)), make_descriptor(150, 48));
+
+  // A new profile in the copy does not leak into the original.
+  auto gold = make_descriptor(3000);
+  gold.service_data = "Gold";
+  edited.upsert(gold);
+  EXPECT_EQ(edited.profile_count(), 2u);
+  EXPECT_EQ(original.profile_count(), 1u);
+  EXPECT_EQ(edited.materialize(*edited.find(3000)), gold);
+}
+
+TEST(DescriptorStore, StatsTrackWritesPerShard) {
+  cookies::DescriptorStore store;
+  const auto empty = store.stats();
+  EXPECT_EQ(empty.entries, 0u);
+  EXPECT_EQ(empty.load_pct, 0u);
+  EXPECT_EQ(empty.probes.samples, 0u);
+
+  for (cookies::CookieId id = 1; id <= 5000; ++id) {
+    store.upsert(make_descriptor(id));
+  }
+  const auto full = store.stats();
+  EXPECT_EQ(full.entries, 5000u);
+  EXPECT_EQ(full.probes.samples, 5000u);  // exact, not sampled
+  EXPECT_GE(full.probes.p50, 1u);
+  EXPECT_LE(full.probes.p99, 4u);
+  EXPECT_GT(full.load_pct, 0u);
+  EXPECT_LE(full.load_pct, 88u);
+  EXPECT_GE(full.bytes, 5000u * sizeof(cookies::DescriptorStore::Record));
+  EXPECT_EQ(store.memory_bytes(), full.bytes);
+
+  // A copy reads the same cached gauges; writes to it move only its own.
+  cookies::DescriptorStore copy = store;
+  EXPECT_EQ(copy.stats().bytes, full.bytes);
+  for (cookies::CookieId id = 1; id <= 2500; ++id) copy.erase(id);
+  const auto half = copy.stats();
+  EXPECT_EQ(half.entries, 2500u);
+  EXPECT_EQ(half.probes.samples, 2500u);
+  EXPECT_EQ(store.stats().entries, 5000u);
+  EXPECT_EQ(store.stats().probes.samples, 5000u);
 }
 
 // --- HotTier --------------------------------------------------------

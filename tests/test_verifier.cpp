@@ -494,6 +494,44 @@ TEST_F(ExternalVerifierTest, TableSwapRevalidatesWithoutRekeying) {
   EXPECT_EQ(verifier_->hot_tier().rehydrations(), 2u);
 }
 
+TEST_F(ExternalVerifierTest, SwapRevalidatesOnlyTheChangedShard) {
+  // Enough ids that several share each store shard.
+  constexpr CookieId kIds = 1024;
+  std::vector<CookieDescriptor> live;
+  for (CookieId id = 1; id <= kIds; ++id) live.push_back(make_descriptor(id));
+  mirror_.reset(1, live, {});
+  publish(1);
+  for (CookieId id = 1; id <= kIds; ++id) {
+    auto gen = generator(make_descriptor(id));
+    ASSERT_TRUE(verifier_->verify(gen.generate()).ok());
+  }
+  ASSERT_EQ(verifier_->hot_tier().rehydrations(), kIds);
+  const DescriptorStore before = table_->store();
+
+  // A one-update delta restamps one shard; entries elsewhere stay hits
+  // across the swap, entries in that shard revalidate (same key, so no
+  // schedule rebuild).
+  ASSERT_TRUE(mirror_.apply(
+      controlplane::Update{2, controlplane::UpdateOp::kRevoke, 1, {}}));
+  publish(2);
+  uint64_t unchanged = 0;
+  for (CookieId id = 2; id <= kIds; ++id) {
+    if (table_->store().stamp_of(id) == before.stamp_of(id)) ++unchanged;
+  }
+  ASSERT_GT(unchanged, 0u);
+  ASSERT_LT(unchanged, kIds - 1) << "no other id shares the revoked id's shard";
+  const uint64_t hits_before = verifier_->hot_tier().hits();
+  for (CookieId id = 2; id <= kIds; ++id) {
+    auto gen = generator(make_descriptor(id), /*salt=*/1);
+    ASSERT_TRUE(verifier_->verify(gen.generate()).ok());
+  }
+  EXPECT_EQ(verifier_->hot_tier().hits() - hits_before, unchanged);
+  EXPECT_EQ(verifier_->hot_tier().rehydrations(), kIds);
+  auto revoked = generator(make_descriptor(1), /*salt=*/1);
+  EXPECT_EQ(verifier_->verify(revoked.generate()).status,
+            VerifyStatus::kDescriptorRevoked);
+}
+
 TEST_F(ExternalVerifierTest, RevokedRecordShortCircuitsWithoutAdmission) {
   mirror_.reset(1, {make_descriptor(1)}, {});
   publish(1);
@@ -506,9 +544,10 @@ TEST_F(ExternalVerifierTest, RevokedRecordShortCircuitsWithoutAdmission) {
             VerifyStatus::kDescriptorRevoked);
   EXPECT_TRUE(verifier_->knows(1));
   EXPECT_EQ(verifier_->find(1), nullptr);
-  // The stale epoch-1 entry never re-admitted; nothing holds midstates
-  // for a revoked descriptor at the current epoch.
-  EXPECT_EQ(verifier_->hot_tier().peek(1, 2), nullptr);
+  // The stale entry was never re-admitted; nothing holds midstates
+  // valid for the revoked descriptor's shard in the current table.
+  EXPECT_EQ(verifier_->hot_tier().peek(1, table_->store().stamp_of(1)),
+            nullptr);
 }
 
 TEST_F(ExternalVerifierTest, HotBudgetEvictsColdDescriptors) {

@@ -2,6 +2,8 @@
 // control-plane sync frame envelope and message codecs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "controlplane/messages.h"
 #include "net/wire.h"
 #include "util/rng.h"
@@ -332,6 +334,50 @@ TEST(SyncWire, MessagesRoundTrip) {
   delta.updates = {add, revoke};
   const Message delta_message = delta;
   EXPECT_EQ(round_trip(delta_message), delta_message);
+}
+
+TEST(SyncWire, PushIsADeltaUnderItsOwnFrameType) {
+  controlplane::DeltaMessage push;
+  push.from_version = 40;
+  push.to_version = 41;
+  controlplane::Update revoke;
+  revoke.version = 41;
+  revoke.op = controlplane::UpdateOp::kRevoke;
+  revoke.id = 9;
+  push.updates = {revoke};
+  push.pushed = true;
+  const util::Bytes wire = controlplane::encode(controlplane::Message(push));
+  // The flag is the frame type; the payload is a Delta's, byte for byte.
+  ASSERT_GE(wire.size(), net::kSyncFrameHeader);
+  controlplane::DeltaMessage polled = push;
+  polled.pushed = false;
+  const util::Bytes polled_wire =
+      controlplane::encode(controlplane::Message(polled));
+  ASSERT_EQ(wire.size(), polled_wire.size());
+  util::ByteReader reader{util::BytesView(wire)};
+  const auto frame = net::read_sync_frame(reader);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type,
+            static_cast<uint8_t>(controlplane::MessageType::kPush));
+  EXPECT_TRUE(std::equal(wire.begin() + net::kSyncFrameHeader, wire.end(),
+                         polled_wire.begin() + net::kSyncFrameHeader));
+
+  const auto decoded = controlplane::decode_message(util::BytesView(wire));
+  ASSERT_TRUE(decoded.has_value());
+  const auto* delta = std::get_if<controlplane::DeltaMessage>(&*decoded);
+  ASSERT_NE(delta, nullptr);
+  EXPECT_TRUE(delta->pushed);
+  EXPECT_EQ(*delta, push);
+  EXPECT_EQ(round_trip(controlplane::Message(polled)),
+            controlplane::Message(polled));
+
+  // Truncated pushes fail typed, like every other known payload.
+  for (size_t len = 0; len < wire.size(); ++len) {
+    const auto prefix =
+        controlplane::decode_message(util::BytesView(wire.data(), len));
+    ASSERT_FALSE(prefix.has_value()) << "prefix of " << len << " bytes parsed";
+    EXPECT_EQ(prefix.error().code, ErrorCode::kTruncated) << "len=" << len;
+  }
 }
 
 TEST(SyncWire, EveryTruncationPrefixRejected) {
